@@ -195,6 +195,9 @@ def random_halfspace_scene(
         raise ValueError("dim must be 1, 2 or 3")
     if s < 2:
         raise ValueError("need s >= 2")
+    grid = 193**dim  # coordinates k/8 for k in -96..96
+    if n_points > grid:
+        raise ValueError(f"at most {grid} distinct points fit the grid")
     rng = random.Random(seed)
     low_cap = s - 1
 
@@ -275,10 +278,20 @@ def _norm_line(p, q) -> tuple:
     return (Fraction(ai), Fraction(bi), Fraction(ci))
 
 
+def _check_grid(n_points: int, coord: int) -> None:
+    """Reject more distinct points than the (coord+1)^2 grid holds."""
+    size = (coord + 1) ** 2
+    if n_points > size:
+        raise ValueError(f"at most {size} distinct points fit the grid")
+
+
 def random_point_line_scene(n_points: int, n_lines: int, seed: int, coord: int = 12):
     """Points on a small grid plus distinct lines through sampled point
     pairs. Two points determine one line, so the incidence graph is
     K_{2,2}-free by construction. Returns (points, lines)."""
+    _check_grid(n_points, coord)
+    if n_lines > 0 and n_points < 2:
+        raise ValueError("lines through point pairs need at least 2 points")
     rng = random.Random(seed)
     pts = set()
     while len(pts) < n_points:
@@ -300,6 +313,7 @@ def random_point_line_scene(n_points: int, n_lines: int, seed: int, coord: int =
 
 def random_point_boxes(n_points: int, n_boxes: int, seed: int, coord: int = 12):
     """Points and random half-open boxes on a grid. Returns (points, boxes)."""
+    _check_grid(n_points, coord)
     rng = random.Random(seed)
     pts = set()
     while len(pts) < n_points:

@@ -270,13 +270,27 @@ class UdgRealization:
         if r <= 0:
             raise ValueError("radius must be positive")
         r2 = r * r
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _dist2(pts[i], pts[j]) == r2:
-                    raise DegenerateSceneError(
-                        f"points {i},{j} at distance exactly the radius"
-                    )
-        return UdgRealization(pts, r)
+        real = UdgRealization(pts, r)
+        # points at distance exactly r sit in grid cells (side r/2) at most
+        # 2 apart on each axis, so only those pairs are checked
+        cells = [real.cell(i) for i in range(len(pts))]
+        members: dict = {}
+        for i, c in enumerate(cells):
+            members.setdefault(c, []).append(i)
+        for i, (cx, cy) in enumerate(cells):
+            p = pts[i]
+            hits = [
+                j
+                for dx in range(-2, 3)
+                for dy in range(-2, 3)
+                for j in members.get((cx + dx, cy + dy), ())
+                if j > i and _dist2(p, pts[j]) == r2
+            ]
+            if hits:
+                raise DegenerateSceneError(
+                    f"points {i},{min(hits)} at distance exactly the radius"
+                )
+        return real
 
     @property
     def n(self) -> int:

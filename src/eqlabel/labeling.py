@@ -5,9 +5,16 @@ Build: replay the protocol on every ordered vertex pair and record, per
 (vertex, role, transcript prefix), the vertex's local action: announce a
 bit, supply an equality operand, or stop with the output. The protocol's
 one-sidedness makes this map well defined; the builder asserts it and fails
-loudly otherwise. Operand tokens are replaced by dense ids (rank in the
-sorted list of their canonical serializations) so equality is preserved and
-entries stay narrow.
+loudly otherwise. Prefixes are nodes of one trie of all transcripts, shared
+by every vertex and stored as two flat lists: node 0 is the empty prefix,
+child[2*node + bit] the next node, parent[node] the way back. Each run
+walks the trie one event at a time, so a prefix is an int, never a tuple;
+the tuple is rebuilt only to name a prefix in an error. A vertex's tree is
+its action nodes plus their ancestors, marked by walking up the parents,
+and is written in preorder into one int accumulator. Operand tokens are
+replaced by dense ids (rank in the sorted list of their canonical
+serializations, each stored operand serialized once) so equality is
+preserved and entries stay narrow.
 
 Label record: two binary prefix trees (role A, then role B), each stored in
 preorder. A node is 2 kind bits (00 bit, 01 operand, 10 output, 11 blank),
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 
 MAGIC = b"IMPLREP1"
 VERSION = 1
+_HEADER_SIZE = len(MAGIC) + 1 + 8 + 1 + 1
 _KIND_BIT = 0
 _KIND_OP = 1
 _KIND_OUT = 2
@@ -102,34 +110,7 @@ def serialize_operand(tok) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# bit packing
-
-
-class _BitWriter:
-    def __init__(self):
-        self.bits: list = []
-
-    def put(self, value: int, width: int) -> None:
-        for i in range(width - 1, -1, -1):
-            self.bits.append((value >> i) & 1)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        acc = 0
-        k = 0
-        for b in self.bits:
-            acc = (acc << 1) | b
-            k += 1
-            if k == 8:
-                out.append(acc)
-                acc = 0
-                k = 0
-        if k:
-            out.append(acc << (8 - k))
-        return bytes(out)
+# bit reading
 
 
 class _BitReader:
@@ -169,7 +150,13 @@ class LabelFamily:
 
     @property
     def max_label_bits(self) -> int:
-        return max(self.label_bits(v) for v in range(self.n))
+        return max((self.label_bits(v) for v in range(self.n)), default=0)
+
+
+# Bit and output actions are shared constants, indexed by the bit; an operand
+# action is ("op", token) until compile time replaces it by its serialization.
+_BIT_ACTS = (("bit", 0), ("bit", 1))
+_OUT_ACTS = (("out", 0), ("out", 1))
 
 
 def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFamily:
@@ -179,84 +166,127 @@ def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFamily:
     not one-sided (two runs disagree on a vertex's action at a prefix)."""
     if not 1 <= ceiling <= 255:
         raise ValueError("ceiling must be in 1..255")
-    nodes: dict = {}
+    # transcript trie shared by all vertices: node 0 is the empty prefix,
+    # child[2 * node + bit] the node one bit deeper (0 if absent)
+    child = [0, 0]
+    parent = [0]
+    # acts[2 * v] and acts[2 * v + 1]: node -> action of v in role A and B
+    acts = [{} for _ in range(2 * n)]
     max_cost = 0
 
-    def set_node(v, role, prefix, entry):
-        key = (v, role, prefix)
-        old = nodes.get(key)
-        if old is None:
-            nodes[key] = entry
-        elif old != entry:
-            raise LabelError(
-                f"vertex {v} role {role} acts two ways at prefix {prefix}: "
-                f"{old} vs {entry}"
-            )
+    def conflict(v, role, node, old, entry):
+        bits = []
+        while node:
+            up = parent[node]
+            bits.append(1 if child[2 * up + 1] == node else 0)
+            node = up
+        prefix = tuple(reversed(bits))
+        return LabelError(
+            f"vertex {v} role {role} acts two ways at prefix {prefix}: "
+            f"{old} vs {entry}"
+        )
 
     for u in range(n):
+        acts_a = acts[2 * u]
         for w in range(n):
+            acts_b = acts[2 * w + 1]
             run = run_pair(u, w)
-            if run.cost > ceiling:
-                raise CostCeilingExceeded(run.cost, ceiling)
-            max_cost = max(max_cost, run.cost)
-            prefix: tuple = ()
-            for kind, value, party, op_a, op_b in run.events:
-                if kind == "bit":
-                    sender = u if party == "A" else w
-                    set_node(sender, party, prefix, ("bit", value))
-                elif kind == "eq":
-                    set_node(u, "A", prefix, ("op", op_a))
-                    set_node(w, "B", prefix, ("op", op_b))
+            events = run.events
+            if len(events) > ceiling:
+                raise CostCeilingExceeded(len(events), ceiling)
+            if len(events) > max_cost:
+                max_cost = len(events)
+            node = 0
+            for kind, value, party, op_a, op_b in events:
+                if value != 0 and value != 1:
+                    raise LabelError(f"event value {value!r} is not a bit")
+                if kind == "eq":
+                    entry = ("op", op_a)
+                    old = acts_a.setdefault(node, entry)
+                    if old is not entry and old != entry:
+                        raise conflict(u, "A", node, old, entry)
+                    entry = ("op", op_b)
+                    old = acts_b.setdefault(node, entry)
+                    if old is not entry and old != entry:
+                        raise conflict(w, "B", node, old, entry)
+                elif kind == "bit":
+                    entry = _BIT_ACTS[value]
+                    sender, acts_s = (u, acts_a) if party == "A" else (w, acts_b)
+                    old = acts_s.setdefault(node, entry)
+                    if old is not entry and old != entry:
+                        raise conflict(sender, party, node, old, entry)
                 else:
                     raise LabelError(f"unknown event kind {kind!r}")
-                prefix += (value,)
-            out_bit = 1 if run.output > 0 else 0
-            set_node(u, "A", prefix, ("out", out_bit))
-            set_node(w, "B", prefix, ("out", out_bit))
+                i = 2 * node + value
+                node = child[i]
+                if not node:
+                    node = child[i] = len(parent)
+                    child += (0, 0)
+                    parent.append(i >> 1)  # the node this event left
+            entry = _OUT_ACTS[1 if run.output > 0 else 0]
+            old = acts_a.setdefault(node, entry)
+            if old is not entry and old != entry:
+                raise conflict(u, "A", node, old, entry)
+            old = acts_b.setdefault(node, entry)
+            if old is not entry and old != entry:
+                raise conflict(w, "B", node, old, entry)
 
-    tokens = sorted(
-        {serialize_operand(e[1]) for e in nodes.values() if e[0] == "op"}
-    )
-    op_id = {t: i for i, t in enumerate(tokens)}
+    # operand ids: rank of each serialization; each stored entry is
+    # serialized once, in place
+    serialized = set()
+    for tree in acts:
+        for node, entry in tree.items():
+            if entry[0] == "op":
+                tree[node] = tok = serialize_operand(entry[1])
+                serialized.add(tok)
+    tokens = sorted(serialized)
     width = max(1, (len(tokens) - 1).bit_length()) if len(tokens) > 1 else 1
+    # action (None: blank) -> (node header code, its width in bits)
+    code = {
+        None: (_KIND_BLANK, 2),
+        _BIT_ACTS[0]: (_KIND_BIT << 1, 3),
+        _BIT_ACTS[1]: (_KIND_BIT << 1 | 1, 3),
+        _OUT_ACTS[0]: (_KIND_OUT << 1, 3),
+        _OUT_ACTS[1]: (_KIND_OUT << 1 | 1, 3),
+    }
+    for i, tok in enumerate(tokens):
+        code[tok] = (_KIND_OP << width | i, 2 + width)
 
-    per_vertex: dict = {}
-    for (v, role, prefix), entry in nodes.items():
-        per_vertex.setdefault((v, role), {})[prefix] = entry
-
+    mark = [0] * len(parent)  # mark[node] == stamp: node is in the tree
+    stamp = 0
     records = []
     for v in range(n):
-        wtr = _BitWriter()
-        for role in ("A", "B"):
-            tree = per_vertex.get((v, role), {})
-            branches: dict = {}
-            for p in tree:
-                for i in range(len(p)):
-                    branches.setdefault(p[:i], set()).add(p[i])
-
-            def emit(prefix: tuple) -> None:
-                entry = tree.get(prefix)
-                if entry is None:
-                    wtr.put(_KIND_BLANK, 2)
-                elif entry[0] == "bit":
-                    wtr.put(_KIND_BIT, 2)
-                    wtr.put(entry[1], 1)
-                elif entry[0] == "op":
-                    wtr.put(_KIND_OP, 2)
-                    wtr.put(op_id[serialize_operand(entry[1])], width)
+        acc = 0  # the record's bits so far, first bit most significant
+        nbits = 0
+        for tree in (acts[2 * v], acts[2 * v + 1]):
+            stamp += 1
+            mark[0] = stamp
+            for node in tree:
+                while mark[node] != stamp:
+                    mark[node] = stamp
+                    node = parent[node]
+            # preorder: node header, presence flag of child 0 and its
+            # subtree, then presence flag of child 1 (stacked as ~node) and
+            # its subtree
+            stack = [0]
+            while stack:
+                node = stack.pop()
+                if node < 0:
+                    kid = child[2 * ~node + 1]
                 else:
-                    wtr.put(_KIND_OUT, 2)
-                    wtr.put(entry[1], 1)
-                kids = branches.get(prefix, ())
-                for b in (0, 1):
-                    if b in kids:
-                        wtr.put(1, 1)
-                        emit(prefix + (b,))
-                    else:
-                        wtr.put(0, 1)
-
-            emit(())
-        records.append(wtr.to_bytes())
+                    c, wd = code[tree.get(node)]
+                    acc = acc << wd | c
+                    nbits += wd
+                    stack.append(~node)
+                    kid = child[2 * node]
+                nbits += 1
+                if kid and mark[kid] == stamp:
+                    acc = acc << 1 | 1
+                    stack.append(kid)
+                else:
+                    acc <<= 1
+        pad = -nbits % 8
+        records.append((acc << pad).to_bytes((nbits + pad) // 8, "big"))
 
     blob = bytearray()
     blob += MAGIC
@@ -282,6 +312,8 @@ class LabelFile:
     def __init__(self, data: bytes):
         if data[: len(MAGIC)] != MAGIC:
             raise LabelError("bad magic")
+        if len(data) < _HEADER_SIZE:
+            raise LabelError("truncated header")
         pos = len(MAGIC)
         if data[pos] != VERSION:
             raise LabelError(f"unsupported version {data[pos]}")
@@ -303,9 +335,6 @@ class LabelFile:
             raise LabelError("trailing bytes")
         self._trees: dict = {}
 
-    def record(self, v: int) -> bytes:
-        return self._records[v]
-
     def label_bits(self, v: int) -> int:
         size = len(self._records[v])
         return 8 * (size + len(_varint(size)))
@@ -315,6 +344,8 @@ class LabelFile:
         got = self._trees.get(key)
         if got is not None:
             return got
+        if not 0 <= v < self.n:
+            raise LabelError(f"vertex {v} out of range 0..{self.n - 1}")
         rdr = _BitReader(self._records[v])
         trees = {}
         for r in ("A", "B"):
@@ -330,6 +361,8 @@ class LabelFile:
                     out[prefix] = ("out", rdr.get(1))
                 for b in (0, 1):
                     if rdr.get(1):
+                        if len(prefix) >= self.cost:
+                            raise LabelError("tree deeper than the recorded cost")
                         parse(prefix + (b,))
 
             parse(())

@@ -180,6 +180,26 @@ def test_label_verify_catches_foreign_labels(tmp_path, capsys):
     assert "mismatches=0" not in out
 
 
+def test_label_verify_rejects_truncated_file(tmp_path, capsys):
+    inp = cycle_file(tmp_path)
+    lab = tmp_path / "c6.labels"
+    assert run_cli("label", "--in", inp, "--out", str(lab)) == 0
+    cut = tmp_path / "cut.labels"
+    for size in (8, 12, 30):
+        cut.write_bytes(lab.read_bytes()[:size])
+        capsys.readouterr()
+        assert run_cli("label-verify", "--in", inp, "--labels", str(cut)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_label_empty_instance(tmp_path, capsys):
+    inp = write_instance(tmp_path, "e.graph", "bipartite 0 0 0\n")
+    lab = tmp_path / "e.labels"
+    assert run_cli("label", "--in", inp, "--out", str(lab)) == 0
+    assert capsys.readouterr().out.strip().endswith("max_bits=0")
+    assert run_cli("label-verify", "--in", inp, "--labels", str(lab)) == 0
+
+
 def test_label_rejects_signrank(tmp_path):
     sr = tmp_path / "s.sr3"
     run_cli("gen", "--family", "signrank3", "--out", str(sr))

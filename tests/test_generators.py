@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from eqlabel import generators as gen
 from eqlabel.geometry import (
     incidence_graph,
@@ -102,3 +104,21 @@ def test_point_boxes_shapes():
     pts, boxes = gen.random_point_boxes(10, 5, seed=4)
     g = point_box_incidence(pts, boxes)
     assert g.n_left == 10 and g.n_right == 5
+
+
+def test_generators_reject_more_points_than_their_grid():
+    # only rejected sizes: an accepted oversized request would never return
+    with pytest.raises(ValueError):
+        gen.random_point_boxes(170, 5, seed=1)
+    with pytest.raises(ValueError):
+        gen.random_point_boxes(10, 2, seed=1, coord=2)
+    with pytest.raises(ValueError):
+        gen.random_point_line_scene(170, 5, seed=1)
+    with pytest.raises(ValueError):
+        gen.random_halfspace_scene(1, 194, 4, seed=1)
+
+
+def test_point_line_scene_needs_two_points():
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            gen.random_point_line_scene(n, 3, seed=1)

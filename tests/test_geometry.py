@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,39 @@ def test_signrank3_pieces_tile_matrix():
 def test_udg_rejects_exact_radius():
     with pytest.raises(DegenerateSceneError):
         UdgRealization.make([(0, 0), (2, 0)], radius=2)
+    # cells of side 1: (0, 0) and (2, 2), at distance 2 exactly
+    with pytest.raises(DegenerateSceneError, match="points 0,2 at distance"):
+        UdgRealization.make(
+            [(Fraction(9, 10), Fraction(1, 2)), (5, 5),
+             (Fraction(21, 10), Fraction(21, 10))],
+            radius=2,
+        )
+
+
+def test_udg_names_first_exact_radius_pair():
+    # integer points and radii with many 3-4-5 pairs; the error must name
+    # the smallest i, then the smallest j, as a scan of all pairs does
+    rng = random.Random(4)
+    named = 0
+    for _ in range(150):
+        r = rng.choice((2, 5, Fraction(5, 2)))
+        pts = [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(12)]
+        exact = [
+            (i, j)
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
+            == r * r
+        ]
+        if not exact:
+            UdgRealization.make(pts, r)
+            continue
+        named += 1
+        i, j = exact[0]
+        with pytest.raises(DegenerateSceneError) as e:
+            UdgRealization.make(pts, r)
+        assert str(e.value) == f"points {i},{j} at distance exactly the radius"
+    assert named > 50
 
 
 def test_udg_adjacency_and_cells():

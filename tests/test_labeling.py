@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlabel import generators as gen
+from eqlabel.geometry import signrank_graph
 from eqlabel.labeling import (
     MAGIC,
     CostCeilingExceeded,
@@ -13,6 +16,7 @@ from eqlabel.labeling import (
     decode_pair,
     measure,
     read_labels,
+    _varint,
     serialize_operand,
     write_labels,
 )
@@ -139,6 +143,65 @@ def test_builder_rejects_two_faced_transcripts():
         build_labels(run_pair, 2)
 
 
+def test_builder_names_a_deep_conflicting_prefix():
+    # both runs agree on the first two transcript bits; vertex 0 in role B
+    # then announces a bit that depends on its peer
+    def run_pair(u, w):
+        return Run(1, (
+            ("bit", 1, "A", None, None),
+            ("eq", 1, None, "k", "k"),
+            ("bit", u % 2, "B", None, None),
+        ), 1)
+
+    with pytest.raises(LabelError) as e:
+        build_labels(run_pair, 2)
+    assert str(e.value) == (
+        "vertex 0 role B acts two ways at prefix (1, 1): "
+        "('bit', 0) vs ('bit', 1)"
+    )
+
+
+def test_builder_rejects_non_bit_event_values():
+    def run_pair(u, w):
+        return Run(1, (("eq", 2, None, "k", "k"),), 1)
+
+    with pytest.raises(LabelError):
+        build_labels(run_pair, 1)
+
+
+def test_empty_family():
+    fam = build_labels(BipartiteProtocol(gen.path_graph(2)).run, 0)
+    assert fam.n == 0
+    assert fam.max_label_bits == 0
+    assert LabelFile(fam.data).n == 0
+
+
+# sha256 of the label file image, computed with the compiler that stored
+# every transcript prefix as a tuple; the file format must not drift
+FROZEN_IMAGES = {
+    "cycle": "55281f8db431019d528669d4973d3c6fae5328c263129b575699006b673c2423",
+    "connected": "21b5969984a01d99b23a92f0350a7b7a1fad57de97ca5bcf650b1fd43eda9dc4",
+    "udg": "020482aa0a89fc1ce443bfa58089083dc481400702bc7455b310bca05dc2ef91",
+    "signrank3": "50a2ea9223e2e6098f3ddc35b694bcfa8d362b05ba779ef7b9e720f9130a4789",
+}
+
+
+def test_frozen_label_images():
+    r = gen.random_udg(20, box=5, radius=2, seed=11)
+    families = {
+        "cycle": family_for(gen.cycle_graph(8), ceiling=255),
+        "connected": family_for(
+            gen.random_connected_bipartite(6, 5, 0.4, seed=3), ceiling=255
+        ),
+        "udg": build_labels(UnitDiskProtocol(r).run, r.n, ceiling=255),
+        "signrank3": family_for(
+            signrank_graph(*gen.random_signrank3(8, 8, seed=4)), ceiling=255
+        ),
+    }
+    for name, fam in families.items():
+        assert hashlib.sha256(fam.data).hexdigest() == FROZEN_IMAGES[name], name
+
+
 def test_udg_labels_round_trip():
     r = gen.random_udg(24, box=6, radius=2, seed=5)
     p = UnitDiskProtocol(r)
@@ -177,6 +240,25 @@ def test_parse_rejects_corruption():
         LabelFile(data[:-1])  # truncated final record
     with pytest.raises(LabelError):
         LabelFile(data + b"\x00")  # trailing bytes
+    for cut in range(len(MAGIC), 19):  # inside the 19-byte header
+        with pytest.raises(LabelError):
+            LabelFile(data[:cut])
+
+
+def test_decode_rejects_vertices_out_of_range():
+    data = family_for(gen.path_graph(4)).data
+    for u, w in ((0, 99), (99, 0), (-1, 0), (0, -1), (4, 0), (0, 4)):
+        with pytest.raises(LabelError):
+            decode_pair(data, u, w)
+
+
+def test_parse_rejects_tree_deeper_than_cost():
+    # a record of all ones nests blank nodes far below the header's cost
+    rec = b"\xff" * 1000
+    data = MAGIC + bytes((1,)) + (1).to_bytes(8, "little") + bytes((5, 1))
+    data += _varint(len(rec)) + rec
+    with pytest.raises(LabelError):
+        decode_pair(data, 0, 0)
 
 
 def test_decoder_is_standalone_over_bytes():
