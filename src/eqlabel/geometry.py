@@ -2,7 +2,9 @@
 pipeline, unit-disk realizations with their grid partition, and the
 incidence-degeneracy checks.
 
-Everything is computed over fractions.Fraction; there is no epsilon anywhere.
+Everything is exact, with no epsilon anywhere. Coordinates are
+fractions.Fraction; the convex-position test scales a point set to integers
+and decides from integer orientation signs, with no Fraction elimination.
 A halfspace is a pair (normal, threshold) and a point p lies in it when
 <normal, p> > threshold. Scenes enforce globally that no point lies on a
 halfspace boundary, so the strict and closed readings coincide.
@@ -357,73 +359,91 @@ def udg_to_signrank4(r: UdgRealization):
 
 
 def in_convex_position(points, dim: int) -> bool:
-    """True iff no point lies in the convex hull of the others. Exact; uses
-    Caratheodory subsets of size dim+1."""
-    pts = [_frac_vec(p) for p in points]
+    """True iff no point lies in the closed convex hull of the others, so a
+    point on the others' boundary, or a repeated point, means False.
+
+    Exact, in integers: the points are scaled by the lcm of their
+    denominators and projected one to one onto the pivot coordinates of
+    their affine hull, of rank r. Every (r+1)-subset's orientation sign is
+    computed once; a point lies in the others' hull iff it lies in a closed
+    nondegenerate simplex on r+1 of them (Caratheodory), which the signs of
+    that simplex with one vertex replaced by the point decide."""
+    fracs = [[Fraction(p[c]) for c in range(dim)] for p in points]
+    den = math.lcm(1, *(x.denominator for p in fracs for x in p))
+    pts = [tuple(int(x * den) for x in p) for p in fracs]
     n = len(pts)
+    if n <= 1:
+        return True
+    cols = _affine_pivots(pts, dim)
+    proj = [tuple(p[c] for c in cols) for p in pts]
+    # sign of each sorted (r+1)-subset, keyed by its bitmask of point indices
+    orient = {}
+    simplices = []
+    for sub in itertools.combinations(range(n), len(cols) + 1):
+        mask = sum(1 << k for k in sub)
+        orient[mask] = sign = _orientation([proj[k] for k in sub])
+        if sign:
+            simplices.append((sub, mask, sign))
     for i in range(n):
-        others = [pts[j] for j in range(n) if j != i]
-        if _in_hull(pts[i], others, dim):
-            return False
+        bit = 1 << i
+        for sub, mask, sign in simplices:
+            if mask & bit:
+                continue
+            # replacing v = sub[j] by i and sorting moves i from position j
+            # to position below - (v < i); an odd shift flips the table sign
+            below = sum(1 for v in sub if v < i)
+            for j, v in enumerate(sub):
+                s = orient[mask ^ (1 << v) | bit]
+                if (j - below + (v < i)) % 2:
+                    s = -s
+                if s * sign < 0:
+                    break
+            else:
+                return False
     return True
 
 
-def _in_hull(p, qs, dim: int) -> bool:
-    if not qs:
-        return False
-    k = dim + 1
-    if len(qs) <= k:
-        subsets = [tuple(range(len(qs)))]
-    else:
-        subsets = itertools.combinations(range(len(qs)), k)
-    for sub in subsets:
-        if _in_simplex(p, [qs[i] for i in sub], dim):
-            return True
-    return False
-
-
-def _in_simplex(p, verts, dim: int) -> bool:
-    """Solve sum(l_i * v_i) = p, sum(l_i) = 1, l_i >= 0 exactly."""
-    k = len(verts)
-    rows = dim + 1
-    # augmented matrix of the linear system
-    mat = [[verts[j][r] for j in range(k)] + [p[r]] for r in range(dim)]
-    mat.append([Fraction(1)] * k + [Fraction(1)])
-    # gaussian elimination
-    pivots = []
-    rr = 0
-    for c in range(k):
-        piv = next((i for i in range(rr, rows) if mat[i][c] != 0), None)
+def _affine_pivots(pts, dim: int) -> list:
+    """Pivot coordinates of the differences pts[k] - pts[0], found by
+    fraction-free elimination; projecting the affine hull onto them is one
+    to one."""
+    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    cols = []
+    for c in range(dim):
+        piv = next((r for r in rows if r[c]), None)
         if piv is None:
             continue
-        mat[rr], mat[piv] = mat[piv], mat[rr]
-        pv = mat[rr][c]
-        mat[rr] = [x / pv for x in mat[rr]]
-        for i in range(rows):
-            if i != rr and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rr])]
-        pivots.append(c)
-        rr += 1
-        if rr == rows:
-            break
-    # inconsistent?
-    for i in range(rr, rows):
-        if mat[i][k] != 0:
-            return False
-    # free variables set to 0; read off pivot values
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][k]
-    # verify (guards the free-variable choice) and check nonnegativity
-    if any(s < 0 for s in sol):
-        return False
-    for r in range(dim):
-        if sum(sol[j] * verts[j][r] for j in range(k)) != p[r]:
-            return False
-    if sum(sol) != 1:
-        return False
-    return True
+        rows = [
+            [piv[c] * x - r[c] * y for x, y in zip(r, piv)]
+            for r in rows if r is not piv
+        ]
+        cols.append(c)
+    return cols
+
+
+def _orientation(verts) -> int:
+    """Sign of det[v_k - v_0] over integer points v_0..v_r in Z^r."""
+    base = verts[0]
+    m = [[a - b for a, b in zip(v, base)] for v in verts[1:]]
+    d = _det(m)
+    return (d > 0) - (d < 0)
+
+
+def _det(m) -> int:
+    k = len(m)
+    if k == 0:
+        return 1
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(k) if m[0][j]
+    )
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,17 @@ def _read_varint(data: bytes, pos: int) -> tuple:
         shift += 7
 
 
+def _check_vertex(v: int, n: int) -> None:
+    if not 0 <= v < n:
+        raise LabelError(f"vertex {v} out of range 0..{n - 1}")
+
+
+def _label_bits(size: int) -> int:
+    """Size of one label in bits: a record of `size` bytes plus its length
+    prefix."""
+    return 8 * (size + len(_varint(size)))
+
+
 def serialize_operand(tok) -> bytes:
     if isinstance(tok, bool):
         raise LabelError("boolean operand")
@@ -145,8 +156,8 @@ class LabelFamily:
 
     def label_bits(self, v: int) -> int:
         """Size of one label in bits: record plus its length prefix."""
-        size = self.record_sizes[v]
-        return 8 * (size + len(_varint(size)))
+        _check_vertex(v, self.n)
+        return _label_bits(self.record_sizes[v])
 
     @property
     def max_label_bits(self) -> int:
@@ -336,16 +347,15 @@ class LabelFile:
         self._trees: dict = {}
 
     def label_bits(self, v: int) -> int:
-        size = len(self._records[v])
-        return 8 * (size + len(_varint(size)))
+        _check_vertex(v, self.n)
+        return _label_bits(len(self._records[v]))
 
     def tree(self, v: int, role: str) -> dict:
         key = (v, role)
         got = self._trees.get(key)
         if got is not None:
             return got
-        if not 0 <= v < self.n:
-            raise LabelError(f"vertex {v} out of range 0..{self.n - 1}")
+        _check_vertex(v, self.n)
         rdr = _BitReader(self._records[v])
         trees = {}
         for r in ("A", "B"):

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from eqlabel import generators as gen
 from eqlabel.cli import main
-from eqlabel.geometry import format_scene
+from eqlabel.geometry import Scene, format_scene, verify_incidence_degeneracy
 from eqlabel.graphs import format_graph_text, parse_graph_text
 from eqlabel.labeling import LabelFile
 
@@ -263,6 +265,24 @@ def test_oracle_degeneracy_scene(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("dim=2 s=3 degeneracy=")
     assert "ok=true" in line
+
+
+def test_oracle_degeneracy_coplanar_scene(tmp_path, capsys):
+    # coplanar points, (1, 3, 0) inside the other four: not in convex
+    # position, so the Caratheodory residual check runs
+    pts = [(0, 1, 0), (0, 4, 0), (1, 3, 0), (2, 1, 0), (3, 3, 0)]
+    hs = [((1, 0, 0), Fraction(5, 2)), ((0, 1, 0), Fraction(7, 2)),
+          ((0, 0, 1), -1)]
+    sc = Scene.make(3, pts, hs)
+    rep = verify_incidence_degeneracy(sc, 3)
+    assert not rep.convex_position
+    assert rep.caratheodory_checked
+    scn = tmp_path / "coplanar.scene"
+    scn.write_text(format_scene(sc))
+    assert run_cli("oracle", "--in", str(scn), "--check", "degeneracy") == 0
+    line = capsys.readouterr().out.strip()
+    assert "convex=false" in line
+    assert f"caratheodory={rep.caratheodory_degree} " in line
 
 
 def test_oracle_degeneracy_graph(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -210,6 +211,102 @@ def test_in_convex_position():
     assert not in_convex_position([(0, 0), (1, 0), (2, 0)], 2)
 
 
+TETRAHEDRON = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+
+
+@pytest.mark.parametrize("dim, points, convex", [
+    # coplanar dim-3 sets with an interior point
+    (3, [(0, 1, 0), (0, 4, 0), (1, 3, 0), (2, 1, 0), (3, 3, 0)], False),
+    (3, [(0, 3, 0), (1, 4, 0), (4, 2, 0), (2, 2, 0), (3, 2, 0)], False),
+    (3, [(2, 1, 0), (3, 0, 0), (3, 1, 0), (0, 4, 0), (2, 0, 0)], False),
+    # (2, 0) lies on the segment from (0, 0) to (3, 0)
+    (2, [(2, 0), (0, 0), (1, 0), (3, 0)], False),
+    # a repeated point lies in the hull of its copy
+    (2, [(0, 0), (1, 0), (0, 0)], False),
+    (3, TETRAHEDRON + [(4, 0, 0)], False),
+    (1, [(5,), (5,)], False),
+    (3, [], True),
+    (3, [(1, 2, 3)], True),
+    (3, TETRAHEDRON, True),
+    (3, TETRAHEDRON + [(2, 2, 0)], False),  # on an edge
+    (3, TETRAHEDRON + [(1, 1, 1)], False),  # the centroid
+    # four coplanar points and one off their plane: a square pyramid
+    (3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 5)], True),
+    (2, [(Fraction(1, 3), 0), (0, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2))], True),
+    (2, [(0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 3)),
+         (Fraction(1, 6), Fraction(1, 6))], False),  # on the hypotenuse
+    (2, [(0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 3)),
+         (Fraction(1, 6), Fraction(1, 5))], True),
+])
+def test_in_convex_position_degenerate_inputs(dim, points, convex):
+    assert in_convex_position(points, dim) is convex
+
+
+def _solve(rows):
+    """Row-reduce an augmented Fraction matrix. Returns (rank of the
+    coefficient columns, solution) or None when inconsistent; the solution
+    is unique only when the rank equals the number of unknowns."""
+    rows = [list(r) for r in rows]
+    k = len(rows[0]) - 1
+    rank = 0
+    pivots = []
+    for c in range(k):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(c)
+        rank += 1
+    if any(r[k] for r in rows[rank:]):
+        return None
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][k]
+    return rank, sol
+
+
+def _reference_in_hull(p, qs, dim):
+    """Caratheodory: p is in the hull of qs iff it is a convex combination
+    of some affinely independent subset of qs of size 1..dim+1."""
+    for size in range(1, dim + 2):
+        for sub in itertools.combinations(qs, size):
+            # columns (q, 1); affinely independent iff they have full rank
+            rows = [[Fraction(q[r]) for q in sub] + [Fraction(p[r])]
+                    for r in range(dim)]
+            rows.append([Fraction(1)] * (size + 1))
+            got = _solve(rows)
+            if got is not None and got[0] == size and min(got[1]) >= 0:
+                return True
+    return False
+
+
+def _reference_convex(points, dim):
+    return not any(
+        _reference_in_hull(p, points[:i] + points[i + 1:], dim)
+        for i, p in enumerate(points)
+    )
+
+
+def test_in_convex_position_matches_caratheodory_reference():
+    rng = random.Random(4242)
+    for trial in range(300):
+        dim = 1 + trial % 3
+        n = rng.randint(2, 6)
+        flat = dim >= 2 and rng.random() < 0.4  # coplanar or collinear share
+        points = []
+        for _ in range(n):
+            p = [Fraction(rng.randint(0, 3), rng.choice((1, 1, 2))) for _ in range(dim)]
+            if flat:
+                p[-1] = p[0] if dim == 2 else 2 * p[0] - p[1]
+            points.append(tuple(p))
+        assert in_convex_position(points, dim) == _reference_convex(points, dim), points
+
+
 def test_degeneracy_report_bounds():
     for dim, bound in ((1, 2), (2, 6), (3, 10)):
         sc = gen.random_halfspace_scene(dim, 14, 7, seed=31 + dim, s=3)
@@ -223,9 +320,9 @@ def test_degeneracy_report_caratheodory_branch():
     # interior point forces the non-convex-position branch
     sc = gen.random_halfspace_scene(2, 12, 6, seed=2, s=3, interior=True)
     rep = verify_incidence_degeneracy(sc, 3)
-    if not rep.convex_position:
-        assert rep.caratheodory_checked
-        assert rep.caratheodory_degree <= rep.caratheodory_bound == 6
+    assert not rep.convex_position
+    assert rep.caratheodory_checked
+    assert rep.caratheodory_degree <= rep.caratheodory_bound == 6
 
 
 def test_degeneracy_rejects_biclique():

@@ -252,6 +252,15 @@ def test_decode_rejects_vertices_out_of_range():
             decode_pair(data, u, w)
 
 
+def test_label_bits_rejects_vertices_out_of_range():
+    fam = family_for(gen.path_graph(4))
+    for labels in (fam, LabelFile(fam.data)):
+        assert labels.label_bits(3) == fam.label_bits(3)
+        for v in (-1, 4, 9):
+            with pytest.raises(LabelError):
+                labels.label_bits(v)
+
+
 def test_parse_rejects_tree_deeper_than_cost():
     # a record of all ones nests blank nodes far below the header's cost
     rec = b"\xff" * 1000
