@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import generators as gen
@@ -19,14 +18,14 @@ from .gyarfas import decompose
 from .labeling import (
     CostCeilingExceeded,
     LabelError,
-    LabelFile,
     build_labels,
     decode_pair,
     measure,
+    read_labels,
+    write_labels,
 )
 from .protocol import (
     BipartiteProtocol,
-    ProtocolError,
     SignRankProtocol,
     UnitDiskProtocol,
 )
@@ -207,8 +206,7 @@ def _cmd_label(args) -> int:
         raise UsageError("labels exist for bipartite and udg instances")
     proto = _make_protocol(kind, obj)
     family = build_labels(proto.run, proto.n, ceiling=args.cost_ceiling)
-    with open(args.out, "wb") as fh:
-        fh.write(family.data)
+    write_labels(family, args.out)
     print(
         f"labels n={family.n} cost={family.cost} opwidth={family.op_width} "
         f"max_bits={family.max_label_bits}"
@@ -221,24 +219,16 @@ def _cmd_label_verify(args) -> int:
     if kind not in ("bipartite", "udg"):
         raise UsageError("labels exist for bipartite and udg instances")
     proto = _make_protocol(kind, obj)
-    with open(args.labels, "rb") as fh:
-        lf = LabelFile(fh.read())
+    lf = read_labels(args.labels)
     if lf.n != proto.n:
         print("label count does not match the instance", file=sys.stderr)
         return EXIT_FAIL
-
-    def check(u: int) -> int:
-        bad = 0
-        for w in range(proto.n):
-            if decode_pair(lf, u, w) != proto.truth(u, w):
-                bad += 1
-        return bad
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            bad = sum(ex.map(check, range(proto.n)))
-    else:
-        bad = sum(check(u) for u in range(proto.n))
+    bad = sum(
+        1
+        for u in range(proto.n)
+        for w in range(proto.n)
+        if decode_pair(lf, u, w) != proto.truth(u, w)
+    )
     mx, mean, per = measure(lf)
     print(f"labels max_bits={mx} mean_bits={mean:.1f} per_log={per:.1f}")
     print(f"pairs={proto.n * proto.n} mismatches={bad}")
@@ -345,7 +335,6 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("label-verify", help="decode labels against the instance")
     v.add_argument("--in", dest="input", required=True)
     v.add_argument("--labels", required=True)
-    v.add_argument("--threads", type=int, default=1)
     v.set_defaults(fn=_cmd_label_verify)
 
     o = sub.add_parser("oracle", help="brute-force structural checks")
@@ -364,10 +353,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CostCeilingExceeded, ProtocolError) as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except RuntimeError as exc:
+    except (CostCeilingExceeded, RuntimeError) as exc:
+        # RuntimeError covers ProtocolError, the protocol's event limit
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError, LabelError) as exc:

@@ -237,17 +237,11 @@ def signrank3_decompose(a_vectors, b_vectors) -> SignRank3Decomposition:
         uclass[u] = 1
     wpat = [normal_sign_pattern(b[:2]) for b in b_vectors]
 
-    pieces = {}
-    for cls, (scene, uids) in ((0, (scene_pos, u_pos)), (1, (scene_neg, u_neg))):
-        bypat = {}
-        for w, p in enumerate(wpat):
-            bypat.setdefault(p, []).append(w)
-        for p in sorted(bypat):
-            wids = tuple(bypat[p])
-            sub = Scene.make(
-                2, scene.points, [scene.halfspaces[w] for w in wids]
-            )
-            pieces[(cls, p)] = (sub, tuple(uids), wids)
+    pieces = {
+        (cls, p): (sub, uids, wids)
+        for cls, (scene, uids) in ((0, (scene_pos, u_pos)), (1, (scene_neg, u_neg)))
+        for p, (sub, wids) in positive_partition(scene).items()
+    }
     return SignRank3Decomposition(
         a_vectors, b_vectors, tuple(uclass), tuple(wpat), pieces
     )
@@ -275,12 +269,10 @@ class UdgRealization:
         real = UdgRealization(pts, r)
         # points at distance exactly r sit in grid cells (side r/2) at most
         # 2 apart on each axis, so only those pairs are checked
-        cells = [real.cell(i) for i in range(len(pts))]
-        members: dict = {}
-        for i, c in enumerate(cells):
-            members.setdefault(c, []).append(i)
-        for i, (cx, cy) in enumerate(cells):
-            p = pts[i]
+        members = udg_grid_partition(real)
+        cell_of = {i: c for c, ids in members.items() for i in ids}
+        for i, p in enumerate(pts):
+            cx, cy = cell_of[i]
             hits = [
                 j
                 for dx in range(-2, 3)

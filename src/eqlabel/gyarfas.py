@@ -83,7 +83,9 @@ class Decomposition:
         )
 
 
-def _components_within(nbrs: Mapping, verts: set) -> list:
+def components_within(nbrs: Mapping, verts) -> list:
+    """Connected components of the subgraph that nbrs induces on verts, as
+    frozensets ordered by their smallest vertex."""
     comps = []
     left = set(verts)
     while left:
@@ -113,7 +115,7 @@ def decompose_neighbors(nbrs: Mapping, root) -> Decomposition:
     parent = [-1]
     hook = [-1]
     q = deque(
-        (0, c) for c in _components_within(nbrs, verts - {root})
+        (0, c) for c in components_within(nbrs, verts - {root})
     )
     assigned = 1
     while q:
@@ -128,7 +130,7 @@ def decompose_neighbors(nbrs: Mapping, root) -> Decomposition:
         parent.append(pb)
         hook.append(h)
         assigned += len(bag)
-        for c in _components_within(nbrs, comp - set(bag)):
+        for c in components_within(nbrs, comp - set(bag)):
             q.append((bi, c))
     if assigned != len(verts):
         raise ValueError("adjacency is not connected")

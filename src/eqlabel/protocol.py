@@ -28,11 +28,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import BipartiteGraph
-from .geometry import UdgRealization, signrank3_decompose, signrank_graph
+from .geometry import (
+    UDG_OFFSETS,
+    UdgRealization,
+    signrank3_decompose,
+    signrank_graph,
+    udg_grid_partition,
+)
 from .gyarfas import (
+    components_within,
     decompose_neighbors,
     edge_ancestors,
-    max_back_degree,
     parity_vertices,
 )
 
@@ -82,9 +88,36 @@ class _Ctx:
         return v
 
 
+def _neighbors(xs, ys, base_adjacent, flip: bool) -> dict:
+    """Adjacency sets of the bipartite graph between xs and ys whose edges
+    are the pairs with base_adjacent(x, y) != flip."""
+    nbrs = {v: set() for v in xs}
+    nbrs.update({v: set() for v in ys})
+    for u in xs:
+        nu = nbrs[u]
+        for w in ys:
+            if base_adjacent(u, w) != flip:
+                nu.add(w)
+                nbrs[w].add(u)
+    return nbrs
+
+
+def _components(nbrs: dict) -> tuple:
+    """(comp_of, comps): each vertex's component key, its smallest vertex,
+    and key -> sorted vertex tuple."""
+    comp_of: dict = {}
+    comps: dict = {}
+    for comp in components_within(nbrs, nbrs.keys()):
+        m = min(comp)
+        comps[m] = tuple(sorted(comp))
+        for v in comp:
+            comp_of[v] = m
+    return comp_of, comps
+
+
 class _Instance:
     """Memoized plan for one sub-instance: adjacency, components, and the
-    lazily built per-component bag trees."""
+    lazily built bag-tree plans of its components and their depth-1 bags."""
 
     def __init__(self, solver: "_Solver", left: tuple, right: tuple, flip: bool):
         self.solver = solver
@@ -93,43 +126,16 @@ class _Instance:
         self.flip = flip
         self.side = {v: 0 for v in left}
         self.side.update({v: 1 for v in right})
-        base = solver.base_adjacent
-        nbrs = {v: set() for v in left}
-        nbrs.update({v: set() for v in right})
-        for u in left:
-            nu = nbrs[u]
-            for w in right:
-                if base(u, w) != flip:
-                    nu.add(w)
-                    nbrs[w].add(u)
-        self.nbrs = nbrs
-
-        comp_of: dict = {}
-        comps: dict = {}
-        for s in sorted(nbrs):
-            if s in comp_of:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in nbrs[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            m = min(comp)
-            comps[m] = tuple(sorted(comp))
-            for v in comp:
-                comp_of[v] = m
-        self.comp_of = comp_of
-        self.comps = comps
+        self.nbrs = _neighbors(left, right, solver.base_adjacent, flip)
+        self.comp_of, self.comps = _components(self.nbrs)
         self.is_equivalence = all(
-            len(self.nbrs[u]) == sum(1 for v in comps[m] if self.side[v] == 1)
-            for m in comps
-            for u in comps[m]
+            len(self.nbrs[u]) == sum(1 for v in comp if self.side[v] == 1)
+            for comp in self.comps.values()
+            for u in comp
             if self.side[u] == 0
         )
         self._plans: dict = {}
+        self._parity: dict = {}
 
     def adjacent(self, u, w) -> bool:
         return self.solver.base_adjacent(u, w) != self.flip
@@ -137,136 +143,117 @@ class _Instance:
     def comp_token(self, v) -> tuple:
         return ("c", self.comp_of[v])
 
-    def comp_plan(self, cmin) -> "_CompPlan":
+    def comp_plan(self, cmin) -> "_Plan":
+        """Bag tree of one component, rooted at its smallest side-0 vertex."""
         plan = self._plans.get(cmin)
         if plan is None:
-            plan = _CompPlan(self, cmin)
+            verts = self.comps[cmin]
+            root = min(v for v in verts if self.side[v] == 0)
+            plan = _Plan(self, self.nbrs, verts, root, complement=False)
             self._plans[cmin] = plan
         return plan
 
-
-class _CompPlan:
-    """Bag tree of one connected component, rooted at its smallest side-0
-    vertex, plus the step-3 child instances and depth-1 parity plans."""
-
-    def __init__(self, inst: _Instance, cmin):
-        self.inst = inst
-        verts = inst.comps[cmin]
-        root = min(v for v in verts if inst.side[v] == 0)
-        self.T = decompose_neighbors({v: inst.nbrs[v] for v in verts}, root)
-        self.maxL = max_back_degree(self.T, inst.nbrs)
-        self._eanc: dict = {}
-        self._parity: dict = {}
-        self._step3: dict = {}
-
-    def edge_anc(self, b: int) -> tuple:
-        out = self._eanc.get(b)
-        if out is None:
-            out = edge_ancestors(self.T, self.inst.nbrs, b)
-            self._eanc[b] = out
-        return out
-
-    def parity_plan(self, b: int) -> "_ParityPlan":
-        pp = self._parity.get(b)
+    def parity_plan(self, cmin, b: int) -> "_ParityPlan":
+        """Complement plan of the depth-1 bag b of component cmin's tree."""
+        pp = self._parity.get((cmin, b))
         if pp is None:
-            pp = _ParityPlan(self.inst, self.T, b)
-            self._parity[b] = pp
+            pp = _ParityPlan(self, self.comp_plan(cmin).T, b)
+            self._parity[(cmin, b)] = pp
         return pp
 
-    def step3_instance(self, b: int) -> _Instance:
-        inst = self._step3.get(b)
+    def child(self, verts, flip: bool) -> "_Instance":
+        """The sub-instance on verts, split by side, with the given flip."""
+        side = self.side
+        lo = tuple(sorted(v for v in verts if side[v] == 0))
+        hi = tuple(sorted(v for v in verts if side[v] == 1))
+        return self.solver.instance(lo, hi, flip)
+
+
+class _Plan:
+    """Bag tree of one connected piece of an instance: a component of the
+    instance itself, or a complement component of a parity plan. It keeps
+    each bag's edge-holding ancestors and, per matched ancestor bag, the
+    child instance the protocol recurses on. A component plan's child is
+    the bag plus the opposite-parity vertices below it, same flip (step 3);
+    a complement plan's is the bag's subtree, flip negated (step 2)."""
+
+    def __init__(self, inst: _Instance, nbrs: dict, verts, root, complement: bool):
+        self.inst = inst
+        self.nbrs = nbrs
+        self.complement = complement
+        self.T = decompose_neighbors({v: nbrs[v] for v in verts}, root)
+        self._children: dict = {}
+
+    @cached_property
+    def edge_anc(self) -> tuple:
+        """Per bag, its edge-holding ancestors by increasing depth."""
+        return tuple(
+            edge_ancestors(self.T, self.nbrs, b) for b in range(self.T.n_bags)
+        )
+
+    @cached_property
+    def maxL(self) -> int:
+        """Largest number of edge-holding ancestors of any bag."""
+        return max(map(len, self.edge_anc))
+
+    def child(self, b: int) -> _Instance:
+        inst = self._children.get(b)
         if inst is None:
-            verts = list(self.T.bags[b]) + list(parity_vertices(self.T, b))
-            side = self.inst.side
-            lo = tuple(sorted(v for v in verts if side[v] == 0))
-            hi = tuple(sorted(v for v in verts if side[v] == 1))
-            inst = self.inst.solver.instance(lo, hi, self.inst.flip)
-            self._step3[b] = inst
+            T, top = self.T, self.inst
+            if self.complement:
+                inst = top.child(T.subtree_vertices(b), not top.flip)
+            else:
+                inst = top.child(T.bags[b] + parity_vertices(T, b), top.flip)
+            self._children[b] = inst
         return inst
 
 
 class _ParityPlan:
     """For a depth-1 bag B: the complement instance between B and the
-    opposite-parity vertices below it, its components, and one bag tree per
-    component rooted inside B."""
+    opposite-parity vertices below it, its components, and one bag-tree
+    plan per component rooted inside B."""
 
     def __init__(self, inst: _Instance, T, b_idx: int):
         self.inst = inst
         bverts = T.bags[b_idx]
         pverts = parity_vertices(T, b_idx)
         self.bset = frozenset(bverts)
-        nbrs = {v: set() for v in bverts}
-        nbrs.update({v: set() for v in pverts})
-        for u in pverts:
-            nu = nbrs[u]
-            for w in bverts:
-                if not inst.adjacent(u, w):
-                    nu.add(w)
-                    nbrs[w].add(u)
-        self.bcnbrs = nbrs
+        self.nbrs = _neighbors(
+            pverts, bverts, inst.solver.base_adjacent, not inst.flip
+        )
+        self.comp_of, self.comps = _components(self.nbrs)
+        self._plans: dict = {}
 
-        comp_of: dict = {}
-        comps: dict = {}
-        for s in sorted(nbrs):
-            if s in comp_of:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in nbrs[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            m = min(comp)
-            comps[m] = tuple(sorted(comp))
-            for v in comp:
-                comp_of[v] = m
-        self.bccomp_of = comp_of
-        self.bccomps = comps
-        self._trees: dict = {}
-        self._maxL: dict = {}
-        self._eanc: dict = {}
-        self._children: dict = {}
+    def comp_token(self, v) -> tuple:
+        return ("b", self.comp_of[v])
 
-    def bccomp_token(self, v) -> tuple:
-        return ("b", self.bccomp_of[v])
-
-    def tree(self, cmin):
-        t = self._trees.get(cmin)
-        if t is None:
-            verts = self.bccomps[cmin]
+    def plan(self, cmin) -> _Plan:
+        plan = self._plans.get(cmin)
+        if plan is None:
+            verts = self.comps[cmin]
             root = min(v for v in verts if v in self.bset)
-            t = decompose_neighbors({v: self.bcnbrs[v] for v in verts}, root)
-            self._trees[cmin] = t
-        return t
+            plan = _Plan(self.inst, self.nbrs, verts, root, complement=True)
+            self._plans[cmin] = plan
+        return plan
 
-    def max_back(self, cmin) -> int:
-        l = self._maxL.get(cmin)
-        if l is None:
-            l = max_back_degree(self.tree(cmin), self.bcnbrs)
-            self._maxL[cmin] = l
-        return l
 
-    def edge_anc(self, cmin, b: int) -> tuple:
-        key = (cmin, b)
-        out = self._eanc.get(key)
-        if out is None:
-            out = edge_ancestors(self.tree(cmin), self.bcnbrs, b)
-            self._eanc[key] = out
-        return out
-
-    def child_instance(self, cmin, b: int) -> _Instance:
-        key = (cmin, b)
-        inst = self._children.get(key)
-        if inst is None:
-            verts = self.tree(cmin).subtree_vertices(b)
-            side = self.inst.side
-            lo = tuple(v for v in verts if side[v] == 0)
-            hi = tuple(v for v in verts if side[v] == 1)
-            inst = self.inst.solver.instance(lo, hi, not self.inst.flip)
-            self._children[key] = inst
-        return inst
+def _scan(eq_xy, tag: str, plan: _Plan, bx: int, by: int):
+    """Edge-ancestor scan of bags bx (x's) and by (y's): maxL equalities
+    asking whether by is an edge-holding ancestor of bx, then maxL asking
+    the reverse, each list padded with the sentinel. Returns the matched
+    ancestor bag, or None when neither holds."""
+    L = plan.maxL
+    x_anc = plan.edge_anc[bx]
+    oy = (tag, by)
+    for k in range(L):
+        if eq_xy((tag, x_anc[k]) if k < len(x_anc) else SENTINEL, oy):
+            return by
+    y_anc = plan.edge_anc[by]
+    ox = (tag, bx)
+    for k in range(L):
+        if eq_xy(ox, (tag, y_anc[k]) if k < len(y_anc) else SENTINEL):
+            return bx
+    return None
 
 
 class _Solver:
@@ -304,7 +291,8 @@ class _Solver:
         if inst.is_equivalence:
             # same component of an equivalence instance: a complete pair
             return 1, depth
-        plan = inst.comp_plan(inst.comp_of[ax])
+        cmin = inst.comp_of[ax]
+        plan = inst.comp_plan(cmin)
         if sa == 0:
             px, py, p_a, p_b = ax, by, "A", "B"
         else:
@@ -330,56 +318,28 @@ class _Solver:
             anc1 = T.ancestor_at_depth(bx, 1)
             if not eq_xy(("g", anc1), ("g", bb)):
                 return -1, depth
-            pp = plan.parity_plan(bb)
+            pp = inst.parity_plan(cmin, bb)
             # complement trick: different complement components mean the
             # complement has no edge here, i.e. the instance has one
-            if not eq_xy(pp.bccomp_token(px), pp.bccomp_token(py)):
+            if not eq_xy(pp.comp_token(px), pp.comp_token(py)):
                 return 1, depth
-            cmin = pp.bccomp_of[px]
-            Y = pp.tree(cmin)
-            if ctx.bit(py == Y.root, p_b):
-                v = ctx.bit(Y.depth[Y.bag_of[px]] == 1, p_a)
+            plan = pp.plan(pp.comp_of[px])
+            T = plan.T
+            if ctx.bit(py == T.root, p_b):
+                v = ctx.bit(T.depth[T.bag_of[px]] == 1, p_a)
                 return (-1 if v else 1), depth
-            L = pp.max_back(cmin)
-            x_anc = pp.edge_anc(cmin, Y.bag_of[px])
-            oy = ("y", Y.bag_of[py])
-            for k in range(L):
-                ox = ("y", x_anc[k]) if k < len(x_anc) else SENTINEL
-                if eq_xy(ox, oy):
-                    child = pp.child_instance(cmin, x_anc[k])
-                    r, d = self.fresh(child, ax, by, ctx, depth + 1)
-                    return -r, d
-            y_anc = pp.edge_anc(cmin, Y.bag_of[py])
-            ox = ("y", Y.bag_of[px])
-            for k in range(L):
-                oy = ("y", y_anc[k]) if k < len(y_anc) else SENTINEL
-                if eq_xy(ox, oy):
-                    child = pp.child_instance(cmin, Y.bag_of[px])
-                    r, d = self.fresh(child, ax, by, ctx, depth + 1)
-                    return -r, d
-            # bags not joined by any edge: complement-non-adjacent pair
-            return 1, depth
-
-        # step 3: the peer's bag is at odd depth >= 3; an edge needs one
-        # bag to be an edge-holding ancestor of the other
-        L = plan.maxL
-        x_anc = plan.edge_anc(bx)
-        oy = ("g", bb)
-        for k in range(L):
-            ox = ("g", x_anc[k]) if k < len(x_anc) else SENTINEL
-            if eq_xy(ox, oy):
-                child = plan.step3_instance(x_anc[k])
-                r, d = self.fresh(child, ax, by, ctx, depth + 1)
-                return r, d
-        y_anc = plan.edge_anc(bb)
-        ox = ("g", bx)
-        for k in range(L):
-            oy = ("g", y_anc[k]) if k < len(y_anc) else SENTINEL
-            if eq_xy(ox, oy):
-                child = plan.step3_instance(bx)
-                r, d = self.fresh(child, ax, by, ctx, depth + 1)
-                return r, d
-        return -1, depth
+            # scan the complement tree and negate the child's answer
+            tag, sign = "y", -1
+        else:
+            # step 3: the peer's bag is at odd depth >= 3; an edge needs one
+            # bag to be an edge-holding ancestor of the other
+            tag, sign = "g", 1
+        b = _scan(eq_xy, tag, plan, T.bag_of[px], T.bag_of[py])
+        if b is None:
+            # the scanned graph has no edge between the two bags
+            return -sign, depth
+        r, d = self.fresh(plan.child(b), ax, by, ctx, depth + 1)
+        return sign * r, d
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +370,6 @@ class BipartiteProtocol:
         return 1 if self.graph.gid_adjacent(u, w) else -1
 
 
-UDG_OFFSETS = tuple(
-    (dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if (dx, dy) != (0, 0)
-)
-
-
 class UnitDiskProtocol:
     """Adjacency protocol for a unit-disk realization over its point ids.
 
@@ -426,10 +381,7 @@ class UnitDiskProtocol:
     def __init__(self, r: UdgRealization, event_limit: int = 4096):
         self.realization = r
         self._solver = _Solver(r.adjacent, event_limit)
-        cells: dict = {}
-        for i in range(r.n):
-            cells.setdefault(r.cell(i), []).append(i)
-        self.cells = {c: tuple(v) for c, v in cells.items()}
+        self.cells = udg_grid_partition(r)
 
     @property
     def n(self) -> int:

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from eqlabel import generators as gen
 from eqlabel import protocol as proto
+from eqlabel.geometry import signrank_graph
 from eqlabel.graphs import BipartiteGraph
 from eqlabel.oracles import chain_index
 from eqlabel.protocol import (
@@ -147,6 +150,50 @@ def test_chain_index_strictly_decreases_per_recursion(monkeypatch):
         )
         checked += 1
     assert checked >= 20
+
+
+# sha256 of repr([(output, events, depth), ...]) over all ordered pairs,
+# pinned before the planner was rebuilt around one bag-tree plan class
+FROZEN_RUN_EVENTS = {
+    "cycle": "ca44da23ac5a47a548e8b3cc9939aec768714db3f41199e4b03bf07c7b7a0a4b",
+    "connected": "b48bb313074bdc2a397319a7e46953dab0be7fa231a6422c29ff092c828df653",
+    "udg": "d7c9559999170796a6afcf27e81f5ef3771ed85ed2437008bcbb8da854949eb8",
+    "signrank": "12b3ca093bbbbd18e21dcdf63ae2b1df8e15bc2011facf3c11e739241712f56a",
+    "signrank3": "4391590b7d6ecd9691480425f7a5525f7c2c1d08f73f660cb83029829f3f5704",
+}
+
+
+def test_frozen_run_events():
+    r = gen.random_udg(40, box=6, radius=2, seed=2)
+    sr = gen.random_signrank3(10, 10, seed=4)
+    cases = {
+        "cycle": (BipartiteProtocol(gen.cycle_graph(10)), 10, 10),
+        "connected": (
+            BipartiteProtocol(gen.random_connected_bipartite(8, 8, 0.35, seed=1)),
+            16,
+            16,
+        ),
+        "udg": (UnitDiskProtocol(r), r.n, r.n),
+        "signrank": (SignRankProtocol(*sr), 10, 10),
+        "signrank3": (
+            BipartiteProtocol(signrank_graph(*gen.random_signrank3(8, 8, seed=4))),
+            16,
+            16,
+        ),
+    }
+    depth = 0
+    tags = set()
+    for name, (p, n_a, n_b) in cases.items():
+        runs = [p.run(u, w) for u in range(n_a) for w in range(n_b)]
+        blob = repr([(x.output, x.events, x.depth) for x in runs]).encode()
+        assert hashlib.sha256(blob).hexdigest() == FROZEN_RUN_EVENTS[name], name
+        depth = max([depth] + [x.depth for x in runs])
+        tags.update(
+            op[0] for x in runs for e in x.events if e[0] == "eq" for op in e[3:]
+        )
+    # both scan sites and both child kinds: step 2 ("y") and step 3 ("g")
+    assert depth >= 3
+    assert {"y", "g"} <= tags
 
 
 def test_event_limit_enforced():
