@@ -10,7 +10,6 @@ from .graphs import (
     format_graph_text,
     is_connected,
     parse_graph_text,
-    semi_induced,
 )
 from .gyarfas import Decomposition, decompose, decompose_neighbors
 from .oracles import verify_decomposition
@@ -24,7 +23,6 @@ from .protocol import (
 from .labeling import (
     CostCeilingExceeded,
     LabelError,
-    LabelFamily,
     LabelFile,
     build_labels,
     decode_pair,
@@ -52,7 +50,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "LabelError",
-    "LabelFamily",
     "LabelFile",
     "ProtocolError",
     "Run",
@@ -73,7 +70,6 @@ __all__ = [
     "measure",
     "parse_graph_text",
     "read_labels",
-    "semi_induced",
     "signrank3_decompose",
     "signrank_graph",
     "unit_disk_graph",

@@ -109,29 +109,6 @@ def signrank_graph(a_vectors, b_vectors) -> BipartiteGraph:
     return BipartiteGraph(len(a_vectors), len(b_vectors), frozenset(edges))
 
 
-def perturb_last_coordinate(a_vectors, b_vectors):
-    """Replace zero last coordinates of the a-side by a small positive
-    rational that provably preserves the sign of every inner product.
-
-    For a vector a with a_d = 0, every <a, b(w)> is unaffected by the last
-    coordinate, so any eps with eps * max|b_d| < min_w |<a, b(w)>| keeps all
-    signs. Vectors whose products are all zero cannot be repaired and raise.
-    """
-    a_vectors = [list(_frac_vec(a)) for a in a_vectors]
-    b_vectors = [_frac_vec(b) for b in b_vectors]
-    d = len(a_vectors[0]) if a_vectors else 0
-    maxb = max((abs(b[d - 1]) for b in b_vectors), default=Fraction(0))
-    for a in a_vectors:
-        if a[d - 1] != 0:
-            continue
-        mags = [abs(dot(a, b)) for b in b_vectors]
-        if any(m == 0 for m in mags) or not mags:
-            raise ValueError("cannot perturb: zero inner product present")
-        eps = min(mags) / (2 * (1 + maxb))
-        a[d - 1] = eps
-    return [tuple(a) for a in a_vectors], b_vectors
-
-
 def signrank_split(a_vectors, b_vectors):
     """Split a rank-d sign factorization into two point-halfspace scenes in
     dimension d-1, one per sign of the last a-coordinate.
@@ -150,9 +127,7 @@ def signrank_split(a_vectors, b_vectors):
         raise ValueError("need dimension at least 2")
     for u, a in enumerate(a_vectors):
         if a[d - 1] == 0:
-            raise ValueError(
-                f"a({u}) has zero last coordinate; perturb_last_coordinate first"
-            )
+            raise ValueError(f"a({u}) has zero last coordinate")
     u_pos = [u for u, a in enumerate(a_vectors) if a[d - 1] > 0]
     u_neg = [u for u, a in enumerate(a_vectors) if a[d - 1] < 0]
 
@@ -192,15 +167,6 @@ def positive_partition(scene: Scene) -> dict:
         sub = Scene.make(scene.dim, scene.points, [scene.halfspaces[h] for h in his])
         out[pat] = (sub, his)
     return out
-
-
-def positive_complement(scene: Scene) -> Scene:
-    """Mirror scene realizing the bipartite complement of the incidences:
-    points are negated, thresholds are negated, normals are kept. Requires
-    the no-boundary invariant, under which p' in h' iff p not in h."""
-    pts = [tuple(-c for c in p) for p in scene.points]
-    hs = [(w, -t) for w, t in scene.halfspaces]
-    return Scene.make(scene.dim, pts, hs)
 
 
 @dataclass(frozen=True)
@@ -539,6 +505,13 @@ def _fmt_q(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _parse_q(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
+
+
 def format_scene(scene: Scene) -> str:
     out = [f"scene {scene.dim} {len(scene.points)} {len(scene.halfspaces)}"]
     for p in scene.points:
@@ -560,11 +533,11 @@ def parse_scene(text: str) -> Scene:
         if parts[0] == "p":
             if len(parts) != d + 1:
                 raise ValueError(f"bad point line: {ln!r}")
-            pts.append(tuple(Fraction(x) for x in parts[1:]))
+            pts.append(tuple(_parse_q(x) for x in parts[1:]))
         elif parts[0] == "h":
             if len(parts) != d + 2:
                 raise ValueError(f"bad halfspace line: {ln!r}")
-            hs.append((tuple(Fraction(x) for x in parts[1:-1]), Fraction(parts[-1])))
+            hs.append((tuple(_parse_q(x) for x in parts[1:-1]), _parse_q(parts[-1])))
         else:
             raise ValueError(f"unknown scene line: {ln!r}")
     if len(pts) != np_ or len(hs) != nh:
@@ -589,10 +562,10 @@ def parse_udg(text: str) -> UdgRealization:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "p":
             raise ValueError(f"bad point line: {ln!r}")
-        pts.append((Fraction(parts[1]), Fraction(parts[2])))
+        pts.append((_parse_q(parts[1]), _parse_q(parts[2])))
     if len(pts) != int(n):
         raise ValueError("udg count mismatch")
-    return UdgRealization.make(pts, Fraction(r))
+    return UdgRealization.make(pts, _parse_q(r))
 
 
 def format_signrank3(a_vectors, b_vectors) -> str:
@@ -614,7 +587,7 @@ def parse_signrank3(text: str):
         parts = ln.split()
         if len(parts) != 4 or parts[0] not in ("a", "b"):
             raise ValueError(f"bad vector line: {ln!r}")
-        vec = tuple(Fraction(x) for x in parts[1:])
+        vec = tuple(_parse_q(x) for x in parts[1:])
         (avs if parts[0] == "a" else bvs).append(vec)
     if len(avs) != int(nu) or len(bvs) != int(nw):
         raise ValueError("signrank3 count mismatch")

@@ -63,14 +63,8 @@ class BipartiteGraph:
         return (i, j) in self.edges
 
     # global-id helpers: left i -> i, right j -> n_left + j
-    def gid(self, side: int, idx: int) -> int:
-        return idx if side == 0 else self.n_left + idx
-
     def side_of(self, g: int) -> int:
         return 0 if g < self.n_left else 1
-
-    def local_of(self, g: int) -> int:
-        return g if g < self.n_left else g - self.n_left
 
     def gid_neighbors(self, g: int):
         """Neighbours of a global id, as sorted global ids."""
@@ -140,26 +134,6 @@ def bipartite_complement(g: BipartiteGraph) -> BipartiteGraph:
         if (i, j) not in g.edges
     )
     return BipartiteGraph(g.n_left, g.n_right, edges)
-
-
-def semi_induced(g: Graph, xs, ys) -> BipartiteGraph:
-    """Bipartite graph G[X, Y] keeping only X-Y edges of g.
-
-    X and Y must be disjoint vertex sets of g. Left ids follow sorted(xs),
-    right ids sorted(ys).
-    """
-    xs = sorted(xs)
-    ys = sorted(ys)
-    if set(xs) & set(ys):
-        raise ValueError("X and Y must be disjoint")
-    yindex = {v: j for j, v in enumerate(ys)}
-    edges = set()
-    for i, u in enumerate(xs):
-        for w in g.adj[u]:
-            j = yindex.get(w)
-            if j is not None:
-                edges.add((i, j))
-    return BipartiteGraph(len(xs), len(ys), frozenset(edges))
 
 
 def connected_components(g) -> list:

@@ -166,37 +166,6 @@ def edge_ancestors(dec: Decomposition, nbrs: Mapping, b: int) -> tuple:
     return tuple(out)
 
 
-def back_degree(
-    dec: Decomposition, nbrs: Mapping, b: int, include_parent: bool = False
-) -> int:
-    """Number of ancestor bags with an edge into bag b, the parent counted
-    only on request."""
-    anc = edge_ancestors(dec, nbrs, b)
-    if include_parent:
-        return len(anc)
-    return sum(1 for a in anc if a != dec.parent[b])
-
-
-def max_back_degree(dec: Decomposition, nbrs: Mapping) -> int:
-    """Largest parent-inclusive back degree over all non-root bags."""
-    return max(
-        (back_degree(dec, nbrs, b, include_parent=True)
-         for b in range(1, dec.n_bags)),
-        default=0,
-    )
-
-
-def hook_path(dec: Decomposition, v) -> tuple:
-    """Vertex, hook of its bag, hook of that hook's bag, ... up to the root."""
-    out = [v]
-    b = dec.bag_of[v]
-    while dec.parent[b] != -1:
-        v = dec.hook[b]
-        out.append(v)
-        b = dec.bag_of[v]
-    return tuple(out)
-
-
 def parity_vertices(dec: Decomposition, b: int) -> tuple:
     """Vertices in strict descendants of bag b whose bag depth differs from
     depth(b) by an odd amount; these sit on the opposite side of the

@@ -14,7 +14,8 @@ its action nodes plus their ancestors, marked by walking up the parents,
 and is written in preorder into one int accumulator. Operand tokens are
 replaced by dense ids (rank in the sorted list of their canonical
 serializations, each stored operand serialized once) so equality is
-preserved and entries stay narrow.
+preserved and entries stay narrow. The build returns the file image as a
+LabelFile, the same class a reader parses.
 
 Label record: two binary prefix trees (role A, then role B), each stored in
 preorder. A node is 2 kind bits (00 bit, 01 operand, 10 output, 11 blank),
@@ -22,20 +23,25 @@ its payload (1 bit, the operand width from the header, 1 bit, nothing), and
 one presence flag per child branch. Blank nodes carry structure where a
 vertex has no action at a prefix but acts deeper on both branches.
 
-Decode: walk the two trees in lock step from the empty prefix. A bit node
-on one side (blank or absent on the other) appends its bit; two operand
-nodes append [id_A == id_B]; two output nodes must agree and end the walk.
-Anything else is a corrupt or foreign label pair.
+Decode: a record is parsed once, on first use, into two flat preorder node
+lists (kind, payload, child-0 index, child-1 index), read from one
+int.from_bytes of the record. Index 0 of each list is one shared absent
+node (blank, both children absent) where every missing branch leads. The
+walk steps the two lists in lock step by index from their roots. A bit
+node on one side (blank or absent on the other) takes its bit; two operand
+nodes take [id_A == id_B]; two output nodes must agree and end the walk.
+Anything else is a corrupt or foreign label pair. The bits taken so far are
+one int; the prefix tuple is rebuilt from it only to name it in an error.
 
 File layout, all little-endian:
-    magic 'IMPLREP1' (8) | version (1) | N (8) | max cost (1) | op width (1)
+    magic 'IMPLREP1' (8) | version (1) | N (8) | max cost (1) | op width (1,
+    never 0)
     then N records, each a varint byte length plus that many bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MAGIC = b"IMPLREP1"
 VERSION = 1
@@ -98,12 +104,6 @@ def _check_vertex(v: int, n: int) -> None:
         raise LabelError(f"vertex {v} out of range 0..{n - 1}")
 
 
-def _label_bits(size: int) -> int:
-    """Size of one label in bits: a record of `size` bytes plus its length
-    prefix."""
-    return 8 * (size + len(_varint(size)))
-
-
 def serialize_operand(tok) -> bytes:
     if isinstance(tok, bool):
         raise LabelError("boolean operand")
@@ -121,47 +121,7 @@ def serialize_operand(tok) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# bit reading
-
-
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def get(self, width: int) -> int:
-        out = 0
-        for _ in range(width):
-            byte = self.pos >> 3
-            if byte >= len(self.data):
-                raise LabelError("truncated record")
-            out = (out << 1) | ((self.data[byte] >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return out
-
-
-# ---------------------------------------------------------------------------
 # building
-
-
-@dataclass(frozen=True)
-class LabelFamily:
-    """A finished label file image plus its build statistics."""
-
-    data: bytes
-    n: int
-    cost: int
-    op_width: int
-    record_sizes: tuple  # per vertex: record bytes, without the length prefix
-
-    def label_bits(self, v: int) -> int:
-        """Size of one label in bits: record plus its length prefix."""
-        _check_vertex(v, self.n)
-        return _label_bits(self.record_sizes[v])
-
-    @property
-    def max_label_bits(self) -> int:
-        return max((self.label_bits(v) for v in range(self.n)), default=0)
 
 
 # Bit and output actions are shared constants, indexed by the bit; an operand
@@ -170,7 +130,7 @@ _BIT_ACTS = (("bit", 0), ("bit", 1))
 _OUT_ACTS = (("out", 0), ("out", 1))
 
 
-def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFamily:
+def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFile:
     """Replay run_pair(u, w) over all ordered pairs (diagonal included) and
     compile one label per vertex. Raises CostCeilingExceeded when any run
     has more events than the ceiling, and LabelError if the transcripts are
@@ -308,17 +268,20 @@ def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFamily:
     for rec in records:
         blob += _varint(len(rec))
         blob += rec
-    return LabelFamily(
-        bytes(blob), n, max_cost, width, tuple(len(r) for r in records)
-    )
+    return LabelFile(bytes(blob))
 
 
 # ---------------------------------------------------------------------------
 # standalone decoding
 
 
+# the node every missing branch leads to: blank, both children absent
+_ABSENT = (_KIND_BLANK, 0, 0, 0)
+
+
 class LabelFile:
-    """Parsed label file; decoding needs nothing but this."""
+    """A label file image, as built or as read; decoding needs nothing but
+    this. Each vertex's record is parsed on first use."""
 
     def __init__(self, data: bytes):
         if data[: len(MAGIC)] != MAGIC:
@@ -335,6 +298,8 @@ class LabelFile:
         pos += 1
         self.op_width = data[pos]
         pos += 1
+        if not self.op_width:
+            raise LabelError("operand width 0")
         self._records = []
         for _ in range(self.n):
             size, pos = _read_varint(data, pos)
@@ -344,42 +309,65 @@ class LabelFile:
             pos += size
         if pos != len(data):
             raise LabelError("trailing bytes")
+        self.data = data
         self._trees: dict = {}
 
     def label_bits(self, v: int) -> int:
+        """Size of one label in bits: record plus its length prefix."""
         _check_vertex(v, self.n)
-        return _label_bits(len(self._records[v]))
+        size = len(self._records[v])
+        return 8 * (size + len(_varint(size)))
 
-    def tree(self, v: int, role: str) -> dict:
+    @property
+    def max_label_bits(self) -> int:
+        return max((self.label_bits(v) for v in range(self.n)), default=0)
+
+    def tree(self, v: int, role: str) -> list:
+        """Nodes (kind, payload, child-0 index, child-1 index) of vertex v's
+        tree in role 'A' or 'B', in preorder from index 1; index 0 is the
+        absent node, where every missing branch leads."""
         key = (v, role)
         got = self._trees.get(key)
         if got is not None:
             return got
         _check_vertex(v, self.n)
-        rdr = _BitReader(self._records[v])
-        trees = {}
+        # the leading 1 byte keeps the record's leading zero bits
+        bits = bin(int.from_bytes(b"\x01" + self._records[v], "big"))[3:]
+        widths = (1, self.op_width, 1, 0)  # payload bits, by node kind
+        pos = 0
         for r in ("A", "B"):
-            out: dict = {}
-
-            def parse(prefix: tuple) -> None:
-                kind = rdr.get(2)
-                if kind == _KIND_BIT:
-                    out[prefix] = ("bit", rdr.get(1))
-                elif kind == _KIND_OP:
-                    out[prefix] = ("op", rdr.get(self.op_width))
-                elif kind == _KIND_OUT:
-                    out[prefix] = ("out", rdr.get(1))
-                for b in (0, 1):
-                    if rdr.get(1):
-                        if len(prefix) >= self.cost:
-                            raise LabelError("tree deeper than the recorded cost")
-                        parse(prefix + (b,))
-
-            parse(())
-            trees[r] = out
-        self._trees[(v, "A")] = trees["A"]
-        self._trees[(v, "B")] = trees["B"]
+            nodes = [_ABSENT]
+            # todo: (None, depth) for a node still to read, (node, depth) for
+            # a node whose child-1 flag is next; a node is a list until then.
+            # A read past the end gives zeros, and the tree is rejected below.
+            todo = [(None, 0)]
+            while todo:
+                node, depth = todo.pop()
+                if node is None:  # a node header, then its child-0 flag
+                    kind = int(bits[pos : pos + 2] or "0", 2)
+                    wd = widths[kind]
+                    node = [kind, int(bits[pos + 2 : pos + 2 + wd] or "0", 2), 0, 0]
+                    pos += 2 + wd
+                    nodes.append(node)
+                    todo.append((node, depth))
+                    slot = 2
+                else:  # the node's child-1 flag
+                    slot = 3
+                if bits[pos : pos + 1] == "1":
+                    if depth >= self.cost:
+                        raise LabelError("tree deeper than the recorded cost")
+                    node[slot] = len(nodes)
+                    todo.append((None, depth + 1))
+                pos += 1
+            if pos > len(bits):
+                raise LabelError("truncated record")
+            self._trees[(v, r)] = [tuple(node) for node in nodes]
         return self._trees[key]
+
+
+def _prefix(path: int) -> tuple:
+    """The transcript prefix held by path, its bits behind a leading 1."""
+    return tuple(map(int, bin(path)[3:]))
 
 
 def decode_pair(labels, u: int, w: int) -> int:
@@ -388,34 +376,35 @@ def decode_pair(labels, u: int, w: int) -> int:
     f = labels if isinstance(labels, LabelFile) else LabelFile(labels)
     ta = f.tree(u, "A")
     tb = f.tree(w, "B")
-    prefix: tuple = ()
+    i = j = 1
+    path = 1
     for _ in range(max(1, f.cost) + 1):
-        ea = ta.get(prefix)
-        eb = tb.get(prefix)
-        ka = ea[0] if ea else None
-        kb = eb[0] if eb else None
-        if ka == "out" or kb == "out":
-            if ka != "out" or kb != "out" or ea[1] != eb[1]:
-                raise LabelError(f"inconsistent leaves at {prefix}")
-            return 1 if ea[1] else -1
-        if ka == "bit":
-            if kb is not None:
-                raise LabelError(f"bit collision at {prefix}")
-            prefix += (ea[1],)
-        elif kb == "bit":
-            if ka is not None:
-                raise LabelError(f"bit collision at {prefix}")
-            prefix += (eb[1],)
-        elif ka == "op" and kb == "op":
-            prefix += (1 if ea[1] == eb[1] else 0,)
+        ka, pa, a0, a1 = ta[i]
+        kb, pb, b0, b1 = tb[j]
+        if ka == _KIND_OUT or kb == _KIND_OUT:
+            if ka != kb or pa != pb:
+                raise LabelError(f"inconsistent leaves at {_prefix(path)}")
+            return 1 if pa else -1
+        if ka == _KIND_BIT:
+            if kb != _KIND_BLANK:
+                raise LabelError(f"bit collision at {_prefix(path)}")
+            bit = pa
+        elif kb == _KIND_BIT:
+            if ka != _KIND_BLANK:
+                raise LabelError(f"bit collision at {_prefix(path)}")
+            bit = pb
+        elif ka == _KIND_OP and kb == _KIND_OP:
+            bit = 1 if pa == pb else 0
         else:
-            raise LabelError(f"stuck at prefix {prefix}")
+            raise LabelError(f"stuck at prefix {_prefix(path)}")
+        i, j = (a1, b1) if bit else (a0, b0)
+        path = path << 1 | bit
     raise LabelError("walk exceeded the recorded cost")
 
 
 def measure(labels) -> tuple:
-    """Size summary (max_bits, mean_bits, bits_per_log_n) of a LabelFamily
-    or LabelFile. The last entry divides by ceil(log2 n), floored at 1."""
+    """Size summary (max_bits, mean_bits, bits_per_log_n) of a LabelFile.
+    The last entry divides by ceil(log2 n), floored at 1."""
     if labels.n == 0:
         return 0, 0.0, 0.0
     sizes = [labels.label_bits(v) for v in range(labels.n)]
@@ -424,9 +413,9 @@ def measure(labels) -> tuple:
     return max_bits, mean_bits, max_bits / max(1, math.ceil(math.log2(labels.n)))
 
 
-def write_labels(family: LabelFamily, path: str) -> None:
+def write_labels(labels: LabelFile, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(family.data)
+        fh.write(labels.data)
 
 
 def read_labels(path: str) -> LabelFile:

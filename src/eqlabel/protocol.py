@@ -61,10 +61,6 @@ class Run:
     def cost(self) -> int:
         return len(self.events)
 
-    @property
-    def prefix(self) -> tuple:
-        return tuple(e[1] for e in self.events)
-
 
 class _Ctx:
     __slots__ = ("events", "limit")
@@ -136,9 +132,6 @@ class _Instance:
         )
         self._plans: dict = {}
         self._parity: dict = {}
-
-    def adjacent(self, u, w) -> bool:
-        return self.solver.base_adjacent(u, w) != self.flip
 
     def comp_token(self, v) -> tuple:
         return ("c", self.comp_of[v])

@@ -297,3 +297,19 @@ def test_oracle_unknown_check(tmp_path):
 def test_unrecognized_instance_header(tmp_path):
     bad = write_instance(tmp_path, "bad.txt", "widget 3 3\n")
     assert run_cli("protocol", "--in", bad) == 2
+
+
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    cases = (
+        ("protocol", "udg 1 1\np 1/0 0\n"),
+        ("protocol", "udg 1 1/0\np 0 0\n"),
+        ("protocol", "signrank3 1 1\na 1/0 1 1\nb 1 1 1\n"),
+        ("oracle", "scene 2 1 0\np 1/0 0\n"),
+        ("oracle", "scene 2 0 1\nh 1 0 1/0\n"),
+    )
+    for i, (cmd, text) in enumerate(cases):
+        inp = write_instance(tmp_path, f"z{i}.txt", text)
+        extra = ("--check", "degeneracy") if cmd == "oracle" else ()
+        capsys.readouterr()
+        assert run_cli(cmd, "--in", inp, *extra) == 2, text
+        assert capsys.readouterr().err.startswith("error: "), text

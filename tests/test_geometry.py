@@ -18,10 +18,8 @@ from eqlabel.geometry import (
     parse_scene,
     parse_signrank3,
     parse_udg,
-    perturb_last_coordinate,
     point_box_incidence,
     point_line_incidence,
-    positive_complement,
     positive_partition,
     sign_matrix,
     signrank3_decompose,
@@ -32,7 +30,6 @@ from eqlabel.geometry import (
     unit_disk_graph,
     verify_incidence_degeneracy,
 )
-from eqlabel.graphs import bipartite_complement
 from eqlabel.oracles import has_biclique
 
 
@@ -52,12 +49,6 @@ def test_incidence_graph_membership():
     g = incidence_graph(sc)
     assert g.has_edge(0, 0) and g.has_edge(2, 0)
     assert not g.has_edge(1, 0)
-
-
-def test_positive_complement_realizes_bc():
-    sc = gen.random_halfspace_scene(2, 10, 5, seed=21)
-    cc = positive_complement(sc)
-    assert incidence_graph(cc) == bipartite_complement(incidence_graph(sc))
 
 
 def test_positive_partition_groups_by_pattern():
@@ -92,15 +83,6 @@ def test_sign_matrix_and_graph():
 def test_sign_matrix_rejects_zero_products():
     with pytest.raises(ValueError):
         sign_matrix([(1, 0, 0)], [(0, 0, 1)])
-
-
-def test_perturb_preserves_signs():
-    a = [(1, 2, 0), (0, 1, 3)]
-    b = [(1, 1, 1), (-3, 1, 5)]
-    before = sign_matrix(a, b)
-    a2, b2 = perturb_last_coordinate(a, b)
-    assert all(v[2] != 0 for v in a2)
-    assert sign_matrix(a2, b2) == before
 
 
 def test_signrank_split_classes_and_membership():

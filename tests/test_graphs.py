@@ -11,7 +11,6 @@ from eqlabel.graphs import (
     format_graph_text,
     is_connected,
     parse_graph_text,
-    semi_induced,
 )
 
 
@@ -30,10 +29,7 @@ def bipartite_graphs(max_side=6):
 def test_gid_layout():
     g = BipartiteGraph.from_edges(2, 3, [(0, 0), (1, 2)])
     assert g.n == 5
-    assert g.gid(0, 1) == 1
-    assert g.gid(1, 0) == 2
     assert g.side_of(1) == 0 and g.side_of(4) == 1
-    assert g.local_of(4) == 2
     assert g.gid_adjacent(0, 2)
     assert not g.gid_adjacent(0, 3)
     # same-side pairs are never adjacent
@@ -68,15 +64,6 @@ def test_complement_flips_every_pair(g):
     for i in range(g.n_left):
         for j in range(g.n_right):
             assert g.has_edge(i, j) != c.has_edge(i, j)
-
-
-def test_semi_induced():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    b = semi_induced(g, (0, 2), (1, 3))
-    assert b.n_left == 2 and b.n_right == 2
-    # rows follow xs order, columns follow ys order
-    assert b.has_edge(0, 0) and b.has_edge(1, 0) and b.has_edge(1, 1)
-    assert not b.has_edge(0, 1)
 
 
 def test_components_ordered_by_min_vertex():

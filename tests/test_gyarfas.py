@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 from eqlabel import generators as gen
 from eqlabel.graphs import BipartiteGraph
 from eqlabel.gyarfas import (
-    back_degree,
     decompose,
     decompose_neighbors,
     edge_ancestors,
-    hook_path,
-    max_back_degree,
     neighbor_map,
     parity_vertices,
 )
@@ -59,26 +56,11 @@ def test_depth_children_and_ancestors():
     assert set(d.subtree_vertices(2)) == {1, 4, 2}
 
 
-def test_hook_path_walks_to_root():
-    d = decompose(gen.cycle_graph(6))
-    assert hook_path(d, 2) == (2, 4, 1, 3, 0)
-    assert hook_path(d, 0) == (0,)
-
-
 def test_parity_vertices():
     d = decompose(gen.cycle_graph(6))
     # strict descendants of bag 1 at odd depth offsets
     assert parity_vertices(d, 1) == (1, 2)
     assert parity_vertices(d, 4) == ()
-
-
-def test_back_degree_cycle():
-    g = gen.cycle_graph(6)
-    d = decompose(g)
-    nbrs = neighbor_map(g)
-    assert back_degree(d, nbrs, 4) == 1
-    assert back_degree(d, nbrs, 4, include_parent=True) == 2
-    assert max_back_degree(d, nbrs) == 2
 
 
 def test_edge_ancestors_increasing_depth():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from eqlabel.labeling import (
     MAGIC,
     CostCeilingExceeded,
     LabelError,
-    LabelFamily,
     LabelFile,
     build_labels,
     decode_pair,
@@ -108,7 +108,7 @@ def test_label_bits_accounting():
     fam = family_for(g)
     assert fam.max_label_bits == max(fam.label_bits(v) for v in range(g.n))
     for v in range(g.n):
-        assert fam.label_bits(v) >= 8 * fam.record_sizes[v]
+        assert fam.label_bits(v) >= 8 * len(fam._records[v])
 
 
 def test_measure_matches_family_and_file():
@@ -202,6 +202,17 @@ def test_frozen_label_images():
         assert hashlib.sha256(fam.data).hexdigest() == FROZEN_IMAGES[name], name
 
 
+def test_signrank3_labels_round_trip():
+    g = signrank_graph(*gen.random_signrank3(8, 8, seed=4))
+    p = BipartiteProtocol(g)
+    fam = family_for(g, ceiling=255)
+    assert fam.cost == 18
+    f = LabelFile(fam.data)
+    for u in range(g.n):
+        for w in range(g.n):
+            assert decode_pair(f, u, w) == p.truth(u, w)
+
+
 def test_udg_labels_round_trip():
     r = gen.random_udg(24, box=6, radius=2, seed=5)
     p = UnitDiskProtocol(r)
@@ -282,3 +293,64 @@ def test_decoder_is_standalone_over_bytes():
         for w in range(f.n):
             assert decode_pair(f, u, w) in (-1, 1)
             assert decode_pair(f, u, w) == p.truth(u, w)
+
+
+def label_image(cost, width, *records):
+    """A label file image from records written as bit strings."""
+    data = MAGIC + bytes((1,)) + len(records).to_bytes(8, "little")
+    data += bytes((cost, width))
+    for bits in records:
+        bits += "0" * (-len(bits) % 8)
+        rec = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+        data += _varint(len(rec)) + rec
+    return data
+
+
+def test_bit_collision_names_its_prefix():
+    # role A: bit 1, then bit 0 under branch 1; role B: blank root, then
+    # bit 1 under branch 1, where A also announces
+    data = label_image(2, 1, "0010100000" + "110100100")
+    with pytest.raises(LabelError) as e:
+        decode_pair(data, 0, 0)
+    assert str(e.value) == "bit collision at (1,)"
+
+
+def test_parse_rejects_a_record_cut_inside_its_tree():
+    # three nested blank nodes fill the byte; the third one's child-0 flag
+    # lies past the record's end
+    data = label_image(5, 1, "11111111")
+    with pytest.raises(LabelError) as e:
+        decode_pair(data, 0, 0)
+    assert str(e.value) == "truncated record"
+
+
+def test_decoder_fuzz_raises_only_label_errors():
+    rng = random.Random(6)
+    data = family_for(gen.cycle_graph(6)).data
+    mutants = []
+    for cost, width in ((0, 1), (2, 0), (0, 0)):  # header bytes 17 and 18
+        m = bytearray(data)
+        m[17], m[18] = cost, width
+        mutants.append(m)
+    for _ in range(400):
+        m = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.2:
+                i = rng.choice((17, 18))
+            else:
+                i = rng.randrange(19, len(m))  # the records
+            m[i] ^= 1 << rng.randrange(8)
+        mutants.append(m)
+    for m in mutants:
+        try:
+            f = LabelFile(bytes(m))
+        except LabelError:
+            continue
+        for u in range(f.n):
+            for w in range(f.n):
+                try:
+                    assert decode_pair(f, u, w) in (-1, 1)
+                except LabelError:
+                    pass
+    with pytest.raises(LabelError):
+        LabelFile(bytes(mutants[1]))  # operand width 0
