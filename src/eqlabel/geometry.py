@@ -291,14 +291,6 @@ def udg_grid_partition(r: UdgRealization) -> dict:
     return {c: tuple(sorted(v)) for c, v in sorted(cells.items())}
 
 
-UDG_OFFSETS = tuple(
-    (a, b)
-    for a in range(-2, 3)
-    for b in range(-2, 3)
-    if (a, b) != (0, 0)
-)
-
-
 def udg_to_signrank4(r: UdgRealization):
     """Rank-4 sign lift: sigma(v) = (-1, 2x, 2y, -x^2-y^2) and
     psi(v) = (x^2+y^2-r^2, x, y, 1) satisfy

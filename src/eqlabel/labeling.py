@@ -13,7 +13,7 @@ the tuple is rebuilt only to name a prefix in an error. A vertex's tree is
 its action nodes plus their ancestors, marked by walking up the parents,
 and is written in preorder into one int accumulator. Operand tokens are
 replaced by dense ids (rank in the sorted list of their canonical
-serializations, each stored operand serialized once) so equality is
+serializations, each distinct token serialized once) so equality is
 preserved and entries stay narrow. The build returns the file image as a
 LabelFile, the same class a reader parses.
 
@@ -41,6 +41,7 @@ File layout, all little-endian:
 
 from __future__ import annotations
 
+import marshal
 import math
 
 MAGIC = b"IMPLREP1"
@@ -202,15 +203,32 @@ def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFile:
             if old is not entry and old != entry:
                 raise conflict(w, "B", node, old, entry)
 
-    # operand ids: rank of each serialization; each stored entry is
-    # serialized once, in place
-    serialized = set()
+    # operand ids: rank of each serialization. Each distinct token is
+    # serialized once, memoised by its marshal version-2 image: that image
+    # codes the exact type at every level (1, True and 1.0 differ), has no
+    # back-references and is inverted by marshal.loads, so two tokens share
+    # a slot only when they are equal with the same types throughout, and
+    # serialize_operand then gives both the same bytes. Only a successful
+    # serialization fills a slot, so a token the serializer rejects is
+    # rejected when first seen. marshal refuses subclasses and non-builtin
+    # types; those tokens are serialized unmemoised.
+    memo = {}
+    loose = set()  # serializations of the tokens marshal rejects
     for tree in acts:
         for node, entry in tree.items():
             if entry[0] == "op":
-                tree[node] = tok = serialize_operand(entry[1])
-                serialized.add(tok)
-    tokens = sorted(serialized)
+                tok = entry[1]
+                try:
+                    key = marshal.dumps(tok, 2)
+                except ValueError:
+                    tree[node] = blob = serialize_operand(tok)
+                    loose.add(blob)
+                    continue
+                blob = memo.get(key)
+                if blob is None:
+                    blob = memo[key] = serialize_operand(tok)
+                tree[node] = blob
+    tokens = sorted(loose.union(memo.values()))
     width = max(1, (len(tokens) - 1).bit_length()) if len(tokens) > 1 else 1
     # action (None: blank) -> (node header code, its width in bits)
     code = {
@@ -277,6 +295,8 @@ def build_labels(run_pair, n: int, ceiling: int = 16) -> LabelFile:
 
 # the node every missing branch leads to: blank, both children absent
 _ABSENT = (_KIND_BLANK, 0, 0, 0)
+# node kind by its 2-bit header
+_KIND_OF = {format(k, "02b"): k for k in range(4)}
 
 
 class LabelFile:
@@ -333,35 +353,62 @@ class LabelFile:
         _check_vertex(v, self.n)
         # the leading 1 byte keeps the record's leading zero bits
         bits = bin(int.from_bytes(b"\x01" + self._records[v], "big"))[3:]
-        widths = (1, self.op_width, 1, 0)  # payload bits, by node kind
+        size = len(bits)
+        # Reads past the end see zeros, and the tree is rejected below. Once
+        # a read passes the end, every flag is 0: at most one more node is
+        # read, then the child-1 flags of at most cost + 1 pending nodes.
+        bits += "0" * (self.op_width + self.cost + 8)
+        cost = self.cost
+        wop = self.op_width
         pos = 0
         for r in ("A", "B"):
             nodes = [_ABSENT]
-            # todo: (None, depth) for a node still to read, (node, depth) for
-            # a node whose child-1 flag is next; a node is a list until then.
-            # A read past the end gives zeros, and the tree is rejected below.
-            todo = [(None, 0)]
-            while todo:
-                node, depth = todo.pop()
-                if node is None:  # a node header, then its child-0 flag
-                    kind = int(bits[pos : pos + 2] or "0", 2)
-                    wd = widths[kind]
-                    node = [kind, int(bits[pos + 2 : pos + 2 + wd] or "0", 2), 0, 0]
-                    pos += 2 + wd
-                    nodes.append(node)
-                    todo.append((node, depth))
-                    slot = 2
-                else:  # the node's child-1 flag
-                    slot = 3
-                if bits[pos : pos + 1] == "1":
-                    if depth >= self.cost:
-                        raise LabelError("tree deeper than the recorded cost")
-                    node[slot] = len(nodes)
-                    todo.append((None, depth + 1))
+            pend = []  # nodes whose child-1 flag is still to read
+            pdepth = []  # their depths
+            depth = 0
+            while True:
+                # a node header, its payload, then its child-0 flag
+                kind = _KIND_OF[bits[pos : pos + 2]]
+                pos += 2
+                if kind == _KIND_OP:
+                    payload = int(bits[pos : pos + wop], 2)
+                    pos += wop
+                elif kind == _KIND_BLANK:
+                    payload = 0
+                else:
+                    payload = 1 if bits[pos] == "1" else 0
+                    pos += 1
+                node = [kind, payload, 0, 0]
+                nodes.append(node)
+                flag = bits[pos]
                 pos += 1
-            if pos > len(bits):
+                if flag == "1":
+                    if depth >= cost:
+                        raise LabelError("tree deeper than the recorded cost")
+                    node[2] = len(nodes)
+                    pend.append(node)
+                    pdepth.append(depth)
+                    depth += 1
+                    continue
+                # child-1 flags, innermost first, until one leads to a node
+                while True:
+                    flag = bits[pos]
+                    pos += 1
+                    if flag == "1":
+                        if depth >= cost:
+                            raise LabelError("tree deeper than the recorded cost")
+                        node[3] = len(nodes)
+                        depth += 1
+                        break
+                    if not pend:
+                        break
+                    node = pend.pop()
+                    depth = pdepth.pop()
+                if flag != "1":
+                    break
+            if pos > size:
                 raise LabelError("truncated record")
-            self._trees[(v, r)] = [tuple(node) for node in nodes]
+            self._trees[(v, r)] = nodes
         return self._trees[key]
 
 

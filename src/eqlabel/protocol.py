@@ -29,7 +29,6 @@ from functools import cached_property
 
 from .graphs import BipartiteGraph
 from .geometry import (
-    UDG_OFFSETS,
     UdgRealization,
     signrank3_decompose,
     signrank_graph,
@@ -366,15 +365,23 @@ class BipartiteProtocol:
 class UnitDiskProtocol:
     """Adjacency protocol for a unit-disk realization over its point ids.
 
-    Same grid cell answers in one equality call. Otherwise the 24 candidate
-    cell offsets are scanned in lexicographic order, two coordinate
-    equalities each; a full match hands the pair to the general protocol on
-    the complement of the two-cell bipartite piece, whose answer is negated."""
+    Same grid cell answers in one equality call. Otherwise an x-scan asks
+    [cx(a) + d == cx(b)] for d = -2..2 and a y-scan does the same on cy,
+    each stopping at its first match; a scan with no match means the cells
+    are more than 2 apart on that axis, so the points are farther apart than
+    the radius. A far pair costs 1 + 5 events when the x-scan misses and
+    1 + (dx + 3) + 5 when only the y-scan does, dx = cx(b) - cx(a). When
+    both match (at most 1 + 5 + 5 events), the general protocol runs on the
+    complement of the two-cell bipartite piece, and its answer is negated."""
 
     def __init__(self, r: UdgRealization, event_limit: int = 4096):
         self.realization = r
         self._solver = _Solver(r.adjacent, event_limit)
         self.cells = udg_grid_partition(r)
+        self._cell_of = [None] * r.n
+        for c, ids in self.cells.items():
+            for i in ids:
+                self._cell_of[i] = c
 
     @property
     def n(self) -> int:
@@ -384,21 +391,21 @@ class UnitDiskProtocol:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("point out of range")
         ctx = _Ctx(self._solver.event_limit)
-        ca = self.realization.cell(i)
-        cb = self.realization.cell(j)
+        ca = self._cell_of[i]
+        cb = self._cell_of[j]
         if ctx.eq(("cell",) + ca, ("cell",) + cb):
             return Run(1, tuple(ctx.events), 1)
-        for dx, dy in UDG_OFFSETS:
-            vx = ctx.eq(("cx", ca[0] + dx), ("cx", cb[0]))
-            vy = ctx.eq(("cy", ca[1] + dy), ("cy", cb[1]))
-            if vx and vy:
-                xs = self.cells[ca]
-                ys = self.cells[cb]
-                inst = self._solver.instance(xs, ys, True)
-                r, d = self._solver.fresh(inst, i, j, ctx, 2)
-                return Run(-r, tuple(ctx.events), d)
-        # cells more than two apart on an axis: farther than the radius
-        return Run(-1, tuple(ctx.events), 1)
+        for tag, a, b in (("cx", ca[0], cb[0]), ("cy", ca[1], cb[1])):
+            op_b = (tag, b)
+            for x in range(a - 2, a + 3):
+                if ctx.eq((tag, x), op_b):
+                    break
+            else:
+                # cells more than two apart on this axis: farther than the radius
+                return Run(-1, tuple(ctx.events), 1)
+        inst = self._solver.instance(self.cells[ca], self.cells[cb], True)
+        r, d = self._solver.fresh(inst, i, j, ctx, 2)
+        return Run(-r, tuple(ctx.events), d)
 
     def truth(self, i: int, j: int) -> int:
         return 1 if self.realization.adjacent(i, j) else -1

@@ -1,10 +1,17 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from eqlabel import generators as gen
 from eqlabel.cli import main
-from eqlabel.geometry import Scene, format_scene, verify_incidence_degeneracy
+from eqlabel.geometry import (
+    Scene,
+    format_scene,
+    format_udg,
+    verify_incidence_degeneracy,
+)
 from eqlabel.graphs import format_graph_text, parse_graph_text
 from eqlabel.labeling import LabelFile
 
@@ -138,6 +145,38 @@ def test_protocol_needs_protocol_kind(tmp_path):
         format_scene(gen.random_halfspace_scene(2, 8, 4, seed=1)),
     )
     assert run_cli("protocol", "--in", inp) == 2
+
+
+def test_protocol_on_fuzzed_udg_files(tmp_path, capsys):
+    # a cut or mutated unit-disk file either verifies exactly (exit 0) or
+    # is a usage error (exit 2): no traceback, no verification failure
+    rng = random.Random(17)
+    text = format_udg(gen.random_udg(10, box=5, radius=2, seed=3))
+    alphabet = "0123456789-/. pu\n"
+    inp = str(tmp_path / "f.udg")
+    codes = Counter()
+    for k in range(300):
+        if k % 3 == 0:
+            mutant = text[: rng.randrange(len(text))]
+        else:
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars))
+                op = rng.randrange(3)
+                if op == 0:
+                    chars[i] = rng.choice(alphabet)
+                elif op == 1:
+                    chars.insert(i, rng.choice(alphabet))
+                else:
+                    del chars[i]
+            mutant = "".join(chars)
+        with open(inp, "w") as fh:
+            fh.write(mutant)
+        code = run_cli("protocol", "--in", inp, "--verify")
+        assert code in (0, 2), mutant
+        codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] > 0 and codes[2] > 0
 
 
 # label / label-verify ---------------------------------------------------------

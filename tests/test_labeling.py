@@ -161,6 +161,50 @@ def test_builder_names_a_deep_conflicting_prefix():
     )
 
 
+def _one_eq_run(toks):
+    # vertex v always supplies toks[v]: one equality, then the output
+    def run_pair(u, w):
+        a, b = toks[u], toks[w]
+        return Run(1, (("eq", 1 if a == b else 0, None, a, b),), 1)
+
+    return run_pair
+
+
+class _Mimic:
+    """Rejected by the serializer, but equal to and printed like ("a", 1)."""
+
+    def __eq__(self, other):
+        return other == ("a", 1)
+
+    def __hash__(self):
+        return hash(("a", 1))
+
+    def __repr__(self):
+        return repr(("a", 1))
+
+
+def test_operand_memo_is_type_exact():
+    # the first token fills the memo; the second is equal to it but of
+    # another type somewhere and must still be rejected
+    for toks in (
+        (("a", 1), ("a", True)),
+        (("a", 1), ("a", 1.0)),
+        ((("b", 1),), (("b", True),)),
+        (("a", 1), _Mimic()),
+    ):
+        with pytest.raises(LabelError):
+            build_labels(_one_eq_run(toks), 2)
+
+
+def test_operand_memo_serializes_int_subclasses_as_ints():
+    class Small(int):
+        pass
+
+    plain = build_labels(_one_eq_run((("a", 1), ("a", 2))), 2)
+    sub = build_labels(_one_eq_run((("a", Small(1)), ("a", 2))), 2)
+    assert sub.data == plain.data
+
+
 def test_builder_rejects_non_bit_event_values():
     def run_pair(u, w):
         return Run(1, (("eq", 2, None, "k", "k"),), 1)
@@ -177,11 +221,12 @@ def test_empty_family():
 
 
 # sha256 of the label file image, computed with the compiler that stored
-# every transcript prefix as a tuple; the file format must not drift
+# every transcript prefix as a tuple (the "udg" entry re-pinned for the
+# axis-scan unit-disk protocol); the file format must not drift
 FROZEN_IMAGES = {
     "cycle": "55281f8db431019d528669d4973d3c6fae5328c263129b575699006b673c2423",
     "connected": "21b5969984a01d99b23a92f0350a7b7a1fad57de97ca5bcf650b1fd43eda9dc4",
-    "udg": "020482aa0a89fc1ce443bfa58089083dc481400702bc7455b310bca05dc2ef91",
+    "udg": "0917318f6038257dbca81ec0880fd8f7da668a69f216059d0a65b4c5e4eed27e",
     "signrank3": "50a2ea9223e2e6098f3ddc35b694bcfa8d362b05ba779ef7b9e720f9130a4789",
 }
 

@@ -1,10 +1,11 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from eqlabel import generators as gen
 from eqlabel import protocol as proto
-from eqlabel.geometry import signrank_graph
+from eqlabel.geometry import UdgRealization, signrank_graph
 from eqlabel.graphs import BipartiteGraph
 from eqlabel.oracles import chain_index
 from eqlabel.protocol import (
@@ -153,11 +154,12 @@ def test_chain_index_strictly_decreases_per_recursion(monkeypatch):
 
 
 # sha256 of repr([(output, events, depth), ...]) over all ordered pairs,
-# pinned before the planner was rebuilt around one bag-tree plan class
+# pinned before the planner was rebuilt around one bag-tree plan class; the
+# "udg" entry is pinned for the axis-scan unit-disk protocol
 FROZEN_RUN_EVENTS = {
     "cycle": "ca44da23ac5a47a548e8b3cc9939aec768714db3f41199e4b03bf07c7b7a0a4b",
     "connected": "b48bb313074bdc2a397319a7e46953dab0be7fa231a6422c29ff092c828df653",
-    "udg": "d7c9559999170796a6afcf27e81f5ef3771ed85ed2437008bcbb8da854949eb8",
+    "udg": "aee0dc038cf2be164547aad7b9247ec987ffcc315800a28b9a255f43f25c3370",
     "signrank": "12b3ca093bbbbd18e21dcdf63ae2b1df8e15bc2011facf3c11e739241712f56a",
     "signrank3": "4391590b7d6ecd9691480425f7a5525f7c2c1d08f73f660cb83029829f3f5704",
 }
@@ -245,18 +247,71 @@ def test_udg_same_cell_single_equality():
 
 
 def test_udg_far_cells_short_circuit():
+    # a far pair stops after the cell equality and one scan per axis it
+    # reaches: the x-scan misses in 5 equalities, or matches after d + 3
+    # (d = cb.x - ca.x) and the y-scan then misses in 5
     r = gen.random_udg(20, box=30, radius=2, seed=4)
     p = UnitDiskProtocol(r)
-    far = 0
+    far = short = 0
     for i in range(r.n):
         for j in range(r.n):
             ca, cb = r.cell(i), r.cell(j)
-            if max(abs(ca[0] - cb[0]), abs(ca[1] - cb[1])) > 2:
+            d = cb[0] - ca[0]
+            if abs(d) > 2:
+                cost = 6
+            elif abs(cb[1] - ca[1]) > 2:
+                cost = 1 + (d + 3) + 5
+                short += 1
+            else:
+                continue
+            run = p.run(i, j)
+            assert run.output == -1
+            assert run.cost == cost, (i, j)
+            assert run.depth == 1
+            far += 1
+    assert far > short > 0
+
+
+def _scan_head(run):
+    """The eq events before the run's first bit event."""
+    head = []
+    for e in run.events:
+        if e[0] == "bit":
+            break
+        head.append(e)
+    return head
+
+
+def test_udg_axis_scan_is_short_and_one_tagged():
+    hand = UdgRealization.make(
+        [
+            (Fraction(-7, 3), Fraction(1, 2)),
+            (Fraction(-2), Fraction(-5, 4)),
+            (Fraction(-1, 7), Fraction(-1, 7)),
+            (Fraction(0), Fraction(0)),
+            (Fraction(9, 10), Fraction(-3)),
+            (Fraction(3, 2), Fraction(11, 5)),
+            (Fraction(-4), Fraction(-4)),
+            (Fraction(13, 4), Fraction(-1, 3)),
+            (Fraction(-1, 2), Fraction(7, 3)),
+        ],
+        Fraction(5, 2),
+    )
+    reals = [gen.random_udg(30, box=b, radius=2, seed=s)
+             for s, b in ((21, 4), (22, 7), (23, 12))]
+    recursive = 0
+    for r in [hand] + reals:
+        p = UnitDiskProtocol(r)
+        for i in range(r.n):
+            for j in range(r.n):
                 run = p.run(i, j)
-                assert run.output == -1
-                assert run.cost == 1 + 2 * len(proto.UDG_OFFSETS)
-                far += 1
-    assert far > 0
+                assert run.output == p.truth(i, j), (i, j)
+                head = _scan_head(run)
+                assert len(head) <= 11
+                tags = {op[0] for e in head for op in e[3:]}
+                assert tags <= {"cell", "cx", "cy"}
+                recursive += len(head) < run.cost
+    assert recursive > 0
 
 
 def test_udg_offsets_cover_adjacency():
